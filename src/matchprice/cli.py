@@ -89,6 +89,19 @@ def read_json(path: str):
         raise InputError(f"{path} is not valid json: {exc}") from exc
 
 
+def write_json(path, obj) -> None:
+    """Write obj as JSON to the file at path; None or "-" means stdout."""
+    body = dumps(jsonify(obj))
+    if path is None or path == "-":
+        sys.stdout.write(body)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(body)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def emit(args, artifact, report) -> None:
     """Write the artifact to --out and the report to stdout.
 
@@ -97,13 +110,11 @@ def emit(args, artifact, report) -> None:
     """
     out = getattr(args, "out", None)
     if artifact is not None and out is not None:
+        write_json(out, artifact)
         if out == "-":
-            sys.stdout.write(dumps(jsonify(artifact)))
             return
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(jsonify(artifact)))
     if report is not None:
-        sys.stdout.write(dumps(jsonify(report)))
+        write_json(None, report)
 
 
 def report_for(command: str, seed, **payload) -> dict:
@@ -358,8 +369,7 @@ def cmd_reduce(args) -> int:
         raise InputError("the reduction takes a bipartite graph")
     out = reduce_full(graph, args.d, args.seed, args.rule)
     if args.provenance is not None:
-        with open(args.provenance, "w", encoding="utf-8") as handle:
-            handle.write(dumps(jsonify(out.to_json())))
+        write_json(args.provenance, out.to_json())
     report = report_for(
         "reduce matching-to-pricing",
         args.seed,
@@ -449,12 +459,7 @@ def cmd_pipeline(args) -> int:
         stages=stages,
         gap=gap,
     )
-    body = dumps(jsonify(report))
-    if args.out is None or args.out == "-":
-        sys.stdout.write(body)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+    write_json(args.out, report)
     return 0
 
 
@@ -464,12 +469,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_all(args.scale, args.seed)
-    body = dumps(jsonify(report))
-    if args.out is None or args.out == "-":
-        sys.stdout.write(body)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+    write_json(args.out, report)
     return 0 if report["ok"] else 1
 
 

@@ -88,9 +88,6 @@ class CspInstance:
     def max_arity(self) -> int:
         return max((c.arity for c in self.clauses), default=0)
 
-    def occurrences(self, variable: int) -> int:
-        return sum(1 for c in self.clauses if variable in c.variables)
-
     def to_json(self) -> dict:
         return {
             "num_vars": self.num_vars,
@@ -103,9 +100,12 @@ class CspInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "CspInstance":
         try:
-            clauses = [
-                Clause(tuple(c["vars"]), frozenset(c["satisfying"])) for c in obj["clauses"]
-            ]
+            clauses = []
+            for c in obj["clauses"]:
+                satisfying = c["satisfying"]
+                if not isinstance(satisfying, list):
+                    raise InputError(f"bad csp json: satisfying {satisfying!r} is not a list")
+                clauses.append(Clause(tuple(c["vars"]), frozenset(satisfying)))
             return cls(obj["num_vars"], clauses)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad csp json: {exc}") from None
@@ -145,25 +145,6 @@ def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:
             best = score
             best_assignment = bits
     return best, best_assignment
-
-
-def is_balanced(instance: CspInstance) -> bool:
-    """True iff for every variable, the (clause, pattern) pairs setting it
-    to 1 are exactly as many as those setting it to 0."""
-    for variable in range(instance.num_vars):
-        ones = zeros = 0
-        for c in instance.clauses:
-            if variable not in c.variables:
-                continue
-            pos = c.variables.index(variable)
-            for pat in c.satisfying:
-                if pat[pos] == "1":
-                    ones += 1
-                else:
-                    zeros += 1
-        if ones != zeros:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +311,6 @@ def variable_sides(labels, instance: CspInstance, variable: int) -> tuple[list[i
     return ones, zeros
 
 
-def cross_clause_degrees(graph: Graph, labels) -> list[int]:
-    """Per-vertex count of edges whose endpoints lie in different clauses."""
-    labels = list(labels)
-    out = [0] * graph.vertex_count
-    for u, w in graph.edges:
-        if labels[u][0] != labels[w][0]:
-            out[u] += 1
-            out[w] += 1
-    return out
-
-
 def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplier) -> Graph:
     """Sparsify disagreement edges variable by variable.
 
@@ -353,10 +323,10 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
     disagreement edges kept for that variable.  Same-clause edges always
     stay.
 
-    The output is computed from the instance's disagreement structure, so
-    pass the graph and labels exactly as produced by fglss_build.  Every
-    kept edge is an edge of the full conflict graph, hence the independence
-    number never decreases.
+    The output is built from the labels and the supplied graphs alone (g
+    gives only the vertex count), so pass the graph and labels exactly as
+    produced by fglss_build.  Every kept edge is an edge of the full
+    conflict graph, hence the independence number never decreases.
     """
     labels = tuple(labels)
     if len(labels) != g.vertex_count:
@@ -368,7 +338,6 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
             if labels[u][0] == labels[w][0]:
                 edges.add((u, w))
 
-    kept_pairs: dict[int, set[tuple[int, int]]] = {}
     for variable in range(instance.num_vars):
         ones, zeros = variable_sides(labels, instance, variable)
         if not ones and not zeros:
@@ -387,27 +356,7 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
                 f"variable {variable}: sides {len(ones)}x{len(zeros)} do not match "
                 f"supplied graph {disp.left_count}x{disp.right_count}"
             )
-        pairs = set()
         for i, j in disp.edges:
             a, b = ones[i], zeros[j]
-            pairs.add((min(a, b), max(a, b)))
-        kept_pairs[variable] = pairs
-
-    for u in range(n):
-        cu, pu = labels[u]
-        vars_u = instance.clauses[cu].variables
-        for w in range(u + 1, n):
-            cw, pw = labels[w]
-            if cu == cw:
-                continue
-            vars_w = instance.clauses[cw].variables
-            for i, v in enumerate(vars_u):
-                if v not in vars_w:
-                    continue
-                if pu[i] == pw[vars_w.index(v)]:
-                    continue
-                # u and w disagree on v; kept only if the supplied graph says so
-                if (u, w) in kept_pairs[v]:
-                    edges.add((u, w))
-                    break
+            edges.add((min(a, b), max(a, b)))
     return Graph(n, sorted(edges))

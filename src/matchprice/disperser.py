@@ -90,7 +90,7 @@ class DisperserGraph(BipartiteGraph):
                 [tuple(e) for e in obj["edges"]],
                 obj["target_degree"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad disperser json: {exc}") from None
 
     def __repr__(self):

@@ -22,6 +22,7 @@ Matching notions used throughout:
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 
@@ -89,7 +90,7 @@ class Graph:
     def from_json(cls, obj: dict) -> "Graph":
         try:
             return cls(obj["n"], [tuple(e) for e in obj["edges"]])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph json: {exc}") from None
 
 
@@ -170,7 +171,7 @@ class BipartiteGraph:
     def from_json(cls, obj: dict) -> "BipartiteGraph":
         try:
             return cls(obj["left"], obj["right"], [tuple(e) for e in obj["edges"]])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad bipartite graph json: {exc}") from None
 
 
@@ -520,8 +521,8 @@ def _edge_conflicts_semi(g, edge_list, order: VertexOrder):
 
 
 def _order_exists_bipartite(g, chosen_pairs):
-    """Is there a left order making chosen_pairs semi-induced?  Returns the
-    precedence arcs (a, b) meaning "left a must precede left b", or None."""
+    """A left sequence making chosen_pairs semi-induced (the Kahn order of
+    the precedence arcs, lefts in no arc left out), or None."""
     arcs = set()
     for (u, v), (a, b) in combinations(chosen_pairs, 2):
         if g.has_edge(u, b):
@@ -529,12 +530,12 @@ def _order_exists_bipartite(g, chosen_pairs):
             arcs.add((a, u))
         if g.has_edge(a, v):
             arcs.add((u, a))
-    return arcs if _acyclic(arcs) else None
+    return _topo_order(arcs)
 
 
 def _order_exists_general(g, chosen_pairs):
-    """Try every anchoring of the matching edges; return (arcs, anchors) for
-    the first acyclic one in canonical order, or None."""
+    """Try every anchoring of the matching edges in canonical order; return
+    the Kahn order of the first acyclic one, or None."""
     k = len(chosen_pairs)
     for code in range(1 << k):
         anchored = []
@@ -543,11 +544,8 @@ def _order_exists_general(g, chosen_pairs):
             if (code >> idx) & 1:
                 lo, hi = hi, lo
             anchored.append((lo, hi))
-        arcs = set()
+        arcs = set(anchored)
         ok = True
-        for e_idx in range(k):
-            m_e, o_e = anchored[e_idx]
-            arcs.add((m_e, o_e))
         for i in range(k):
             for j in range(i + 1, k):
                 m_i, o_i = anchored[i]
@@ -563,12 +561,16 @@ def _order_exists_general(g, chosen_pairs):
                     arcs.add((m_i, m_j))
             if not ok:
                 break
-        if ok and _acyclic(arcs):
-            return arcs, anchored
+        if ok:
+            seq = _topo_order(arcs)
+            if seq is not None:
+                return seq
     return None
 
 
-def _acyclic(arcs) -> bool:
+def _topo_order(arcs) -> list[int] | None:
+    """Kahn with min-index tie break over the vertices of the arcs, or None
+    if the arcs have a cycle."""
     nodes = {x for arc in arcs for x in arc}
     out = {v: set() for v in nodes}
     indeg = {v: 0 for v in nodes}
@@ -576,29 +578,6 @@ def _acyclic(arcs) -> bool:
         if b not in out[a]:
             out[a].add(b)
             indeg[b] += 1
-    queue = sorted(v for v in nodes if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.pop(0)
-        seen += 1
-        for w in sorted(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(nodes)
-
-
-def _topo_order(arcs, all_vertices) -> list[int]:
-    """Kahn with min-index tie break, then remaining vertices ascending."""
-    nodes = {x for arc in arcs for x in arc}
-    out = {v: set() for v in nodes}
-    indeg = {v: 0 for v in nodes}
-    for a, b in arcs:
-        if b not in out[a]:
-            out[a].add(b)
-            indeg[b] += 1
-    import heapq
-
     heap = [v for v in nodes if indeg[v] == 0]
     heapq.heapify(heap)
     seq = []
@@ -609,9 +588,7 @@ def _topo_order(arcs, all_vertices) -> list[int]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
-    placed = set(seq)
-    seq.extend(v for v in sorted(all_vertices) if v not in placed)
-    return seq
+    return seq if len(seq) == len(nodes) else None
 
 
 def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, VertexOrder]:
@@ -635,64 +612,49 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
         return size, m, order
     if order != ALL_ORDERS:
         raise InputError("order must be a VertexOrder or the string 'all'")
-    n = g.left_count + g.right_count if isinstance(g, BipartiteGraph) else g.vertex_count
+    bip = isinstance(g, BipartiteGraph)
+    n = g.left_count + g.right_count if bip else g.vertex_count
     if n > caps.MAX_ALL_ORDER_VERTICES:
         raise CapExceeded(
             f"all-orders mode limited to {caps.MAX_ALL_ORDER_VERTICES} vertices, got {n}",
             bound="MAX_ALL_ORDER_VERTICES",
         )
-    bip = isinstance(g, BipartiteGraph)
+    order_for = _order_exists_bipartite if bip else _order_exists_general
+    # the order ranks the lefts of a bipartite graph; right w is tracked in
+    # `used` as left_count + w so both kinds share one vertex set
+    ranked = g.left_count if bip else g.vertex_count
+    right_offset = g.left_count if bip else 0
 
     best_pairs: list[tuple[int, int]] = []
-
-    def feasible(pairs) -> bool:
-        if bip:
-            return _order_exists_bipartite(g, pairs) is not None
-        return _order_exists_general(g, pairs) is not None
 
     # Straightforward recursive enumeration in lexicographic edge order.
     # Adding an edge only adds order constraints, so an infeasible prefix
     # can be pruned: none of its extensions can become feasible.
-    def enumerate_from(start: int, pairs: list, used_left: set, used_right: set) -> None:
+    def enumerate_from(start: int, pairs: list, used: set) -> None:
         nonlocal best_pairs
         if len(pairs) > len(best_pairs):
             best_pairs = list(pairs)
         for i in range(start, len(edge_list)):
             u, w = edge_list[i]
-            if bip:
-                if u in used_left or w in used_right:
-                    continue
-            else:
-                if u in used_left or w in used_left:
-                    continue
+            w_key = right_offset + w
+            if u in used or w_key in used:
+                continue
             pairs.append((u, w))
-            if feasible(pairs):
-                if bip:
-                    used_left.add(u)
-                    used_right.add(w)
-                    enumerate_from(i + 1, pairs, used_left, used_right)
-                    used_left.discard(u)
-                    used_right.discard(w)
-                else:
-                    used_left.add(u)
-                    used_left.add(w)
-                    enumerate_from(i + 1, pairs, used_left, used_right)
-                    used_left.discard(u)
-                    used_left.discard(w)
+            if order_for(g, pairs) is not None:
+                used.add(u)
+                used.add(w_key)
+                enumerate_from(i + 1, pairs, used)
+                used.discard(u)
+                used.discard(w_key)
             pairs.pop()
 
-    enumerate_from(0, [], set(), set())
+    enumerate_from(0, [], set())
 
     m = Matching(best_pairs)
-    if bip:
-        arcs = _order_exists_bipartite(g, best_pairs)
-        seq = _topo_order(arcs, range(g.left_count))
-        witness_order = VertexOrder.from_sequence(seq)
-    else:
-        found = _order_exists_general(g, best_pairs)
-        arcs, _anchored = found
-        seq = _topo_order(arcs, range(g.vertex_count))
-        witness_order = VertexOrder.from_sequence(seq)
+    seq = order_for(g, best_pairs)
+    placed = set(seq)
+    seq.extend(v for v in range(ranked) if v not in placed)
+    witness_order = VertexOrder.from_sequence(seq)
     assert is_semi_induced_matching(g, witness_order, m)
     return len(best_pairs), m, witness_order
 
@@ -828,7 +790,13 @@ def balanced_bipartite_independence_bruteforce(bg: BipartiteGraph) -> int:
 # seeded generators (used by the CLI and the verification suite)
 
 
+def _check_probability(edge_probability: float) -> None:
+    if not 0 <= edge_probability <= 1:
+        raise InputError(f"edge probability must lie in [0, 1], got {edge_probability}")
+
+
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
+    _check_probability(edge_probability)
     rng = random.Random(seed)
     edges = [
         (u, w)
@@ -840,6 +808,7 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 
 def random_bipartite(left: int, right: int, edge_probability: float, seed: int) -> BipartiteGraph:
+    _check_probability(edge_probability)
     rng = random.Random(seed)
     edges = [
         (u, w)

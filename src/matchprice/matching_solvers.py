@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from . import caps
 from .errors import CapExceeded, InputError
-from .graphs import BipartiteGraph, Graph, Matching, is_induced_matching
+from .graphs import (
+    BipartiteGraph,
+    Graph,
+    Matching,
+    _edge_conflicts_induced,
+    _mis_lex_witness,
+    is_induced_matching,
+)
 
 
 def bit_indices(mask: int):
@@ -147,66 +154,37 @@ def approx_induced_matching_bipartite(bg: BipartiteGraph, r: int) -> tuple[int, 
     return best_size, best_m
 
 
-def _pairwise_compatible(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    a, b = e
-    c, d = f
-    if len({a, b, c, d}) < 4:
-        return False
-    return not (
-        g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)
-    )
-
-
-def _solve_block_general(g: Graph, block: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Largest induced matching selectable as "one incident edge or nothing"
-    per block vertex.  Work bound: product of (choices + 1) per vertex."""
-    in_block = set(block)
-    choices: list[list[tuple[int, int]]] = []
-    work = 1
-    for v in block:
-        opts = []
-        for w in bit_indices(g.adjacency_mask(v)):
-            if w in in_block and w < v:
-                continue  # an edge inside the class belongs to its smaller endpoint
-            opts.append((min(v, w), max(v, w)))
-        opts.sort()
-        choices.append(opts)
-        work *= len(opts) + 1
-    if work > caps.MAX_BLOCK_WORK:
-        raise CapExceeded(
-            f"class search space {work} exceeds {caps.MAX_BLOCK_WORK}",
-            bound="MAX_BLOCK_WORK",
-        )
-
-    best_size = 0
-    best_edges: list[tuple[int, int]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(idx: int) -> None:
-        nonlocal best_size, best_edges
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_edges = list(chosen)
-        if idx == len(choices) or len(chosen) + (len(choices) - idx) <= best_size:
-            return
-        for e in choices[idx]:
-            if all(_pairwise_compatible(g, e, f) for f in chosen):
-                chosen.append(e)
-                rec(idx + 1)
-                chosen.pop()
-        rec(idx + 1)
-
-    rec(0)
-    return best_size, best_edges
-
-
 def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
-    """Per-residue-class optimum of the one-incident-edge search, each
-    validated as an induced matching of g."""
+    """Per-residue-class optimum of "one incident edge or nothing" per class
+    vertex, each validated as an induced matching of g.
+
+    An edge inside the class belongs to its smaller endpoint.  Candidates
+    are listed by owning vertex in class order, each vertex's edges
+    ascending, and the class optimum is the lexicographically least maximum
+    independent set of their conflict graph.  Work bound per class: product
+    of (candidates + 1) per vertex, capped at caps.MAX_BLOCK_WORK.
+    """
     out = []
     for block in round_robin_blocks(g.vertex_count, r):
-        size, edges = _solve_block_general(g, block)
-        m = Matching(sorted(edges))
+        in_block = set(block)
+        candidates: list[tuple[int, int]] = []
+        work = 1
+        for v in block:
+            opts = sorted(
+                (min(v, w), max(v, w))
+                for w in bit_indices(g.adjacency_mask(v))
+                if not (w in in_block and w < v)
+            )
+            candidates.extend(opts)
+            work *= len(opts) + 1
+        if work > caps.MAX_BLOCK_WORK:
+            raise CapExceeded(
+                f"class search space {work} exceeds {caps.MAX_BLOCK_WORK}",
+                bound="MAX_BLOCK_WORK",
+            )
+        conflicts = _edge_conflicts_induced(g, candidates)
+        size, witness = _mis_lex_witness(conflicts, len(candidates))
+        m = Matching(sorted(candidates[i] for i in witness))
         assert is_induced_matching(g, m)
         out.append((size, m))
     return out

@@ -13,7 +13,7 @@ greedy in reverse order plus a cross-class sweep turns the nominations into
 a semi-induced matching for the color-based order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import math
 import random
@@ -61,9 +61,6 @@ class Coloring:
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and self.colors == other.colors and self.d == other.d
-
-    def class_of(self, color: int) -> list:
-        return [u for u, c in enumerate(self.colors) if c == color]
 
     def to_json(self) -> dict:
         return {"d": self.d, "colors": list(self.colors)}
@@ -325,15 +322,4 @@ def reduce_full(g: BipartiteGraph, d: int, seed: int, rule: str) -> ReductionOut
     coloring = color_left(g, d, seed)
     removed, gprime = congestion_filter(g, coloring, d)
     out = build_pricing_instance(gprime, coloring, d)
-    return ReductionOutput(
-        instance=out.instance,
-        right_of_item=out.right_of_item,
-        item_of_right_vertex=out.item_of_right_vertex,
-        group_of_left_vertex=out.group_of_left_vertex,
-        coloring=coloring,
-        d=d,
-        graph=gprime,
-        removed_rights=removed,
-        seed=seed,
-        rule=rule,
-    )
+    return replace(out, removed_rights=removed, seed=seed, rule=rule)

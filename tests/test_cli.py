@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, artifacts, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import matchprice
 from matchprice.cli import main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
@@ -210,3 +215,53 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     code, _ = run(capsys, "solve", "matching", "--algo", "exact",
                   "--input", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+
+MALFORMED_FILES = {
+    "graph_edge_triple": {"n": 3, "edges": [[0, 1, 2]]},
+    "bipartite_edge_single": {"left": 2, "right": 2, "edges": [[0]]},
+    "disperser_edge_triple": {
+        "left": 2, "right": 2, "edges": [[0, 1, 1]], "target_degree": 1,
+    },
+    "csp_satisfying_string": {
+        "num_vars": 2, "clauses": [{"vars": [0, 1], "satisfying": "01"}],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "matching", "--algo", "exact", "--input", "{graph_edge_triple}"],
+         "bad graph json"),
+        (["graph", "cover", "--input", "{bipartite_edge_single}"],
+         "bad bipartite graph json"),
+        (["disperser", "verify", "--gamma", "1/2", "--input", "{disperser_edge_triple}"],
+         "bad disperser json"),
+        (["csp", "fglss", "--input", "{csp_satisfying_string}"], "is not a list"),
+        (["graph", "gen", "--n", "5", "--p", "2"], "edge probability"),
+        (["graph", "gen", "--left", "2", "--right", "3", "--p", "-0.5"], "edge probability"),
+        (["graph", "gen", "--n", "5", "--p", "0.5", "--out", "{missing_dir}/x.json"],
+         "cannot write"),
+        (["verify", "all", "--out", "{missing_dir}/r.json"], "cannot write"),
+    ],
+    ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
+         "p-below-zero", "gen-out-unwritable", "verify-out-unwritable"],
+)
+def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
+    paths = {"missing_dir": str(tmp_path / "missing")}
+    for name, obj in MALFORMED_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    src = str(Path(matchprice.__file__).resolve().parents[1])
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchprice.cli", *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr

@@ -15,13 +15,11 @@ from matchprice.errors import CapExceeded, InputError
 from matchprice.csp_fglss import (
     Clause,
     CspInstance,
-    cross_clause_degrees,
     disperser_replace,
     duplicate_clauses,
     evaluate,
     fglss_build,
     gap_amplify,
-    is_balanced,
     max_sat_bruteforce,
     random_balanced_csp,
     random_csp,
@@ -34,6 +32,40 @@ from matchprice.graphs import BipartiteGraph, max_independent_set_bruteforce
 def xor_clause(u, w, target):
     pats = {"01", "10"} if target else {"00", "11"}
     return Clause((u, w), frozenset(pats))
+
+
+def occurrences(instance, variable):
+    return sum(1 for c in instance.clauses if variable in c.variables)
+
+
+def is_balanced(instance):
+    """True iff for every variable, the (clause, pattern) pairs setting it
+    to 1 are exactly as many as those setting it to 0."""
+    for variable in range(instance.num_vars):
+        ones = zeros = 0
+        for c in instance.clauses:
+            if variable not in c.variables:
+                continue
+            pos = c.variables.index(variable)
+            for pat in c.satisfying:
+                if pat[pos] == "1":
+                    ones += 1
+                else:
+                    zeros += 1
+        if ones != zeros:
+            return False
+    return True
+
+
+def cross_clause_degrees(graph, labels):
+    """Per-vertex count of edges whose endpoints lie in different clauses."""
+    labels = list(labels)
+    out = [0] * graph.vertex_count
+    for u, w in graph.edges:
+        if labels[u][0] != labels[w][0]:
+            out[u] += 1
+            out[w] += 1
+    return out
 
 
 def complete_bip(n):
@@ -62,8 +94,8 @@ def test_instance_validation_and_json():
     assert CspInstance.from_json(inst.to_json()) == inst
     with pytest.raises(InputError):
         CspInstance(2, [c])
-    assert inst.occurrences(2) == 1
-    assert inst.occurrences(1) == 0
+    assert occurrences(inst, 2) == 1
+    assert occurrences(inst, 1) == 0
     assert inst.max_arity() == 2
 
 
