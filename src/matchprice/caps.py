@@ -3,44 +3,55 @@
 Every exhaustive routine checks one of these bounds before doing work and
 refuses (raises CapExceeded) when the input is larger.  Each value can be
 overridden through an environment variable named MATCHPRICE_<CAP_NAME>,
-e.g. MATCHPRICE_MAX_IS_VERTICES=28.
+e.g. MATCHPRICE_MAX_IS_VERTICES=28.  An override is read when its cap is
+first used, so one that is not an integer raises InputError in the caller
+rather than failing the import.
 """
 
 import os
+import sys
+
+from .errors import InputError
+
+_DEFAULTS = {
+    # graphs: exhaustive oracles
+    "MAX_IS_VERTICES": 24,
+    "MAX_IM_EDGES": 256,
+    "MAX_BBIS_VERTICES": 20,
+    "MAX_ALL_ORDER_VERTICES": 10,
+    # matching solvers
+    "MAX_EXACT_SIDE": 20,
+    "MAX_BLOCK_WORK": 2_000_000,
+    # csp
+    "MAX_SAT_VARS": 20,
+    "MAX_FGLSS_VERTICES": 512,
+    # dispersers
+    "MAX_VERIFY_SUBSETS": 200_000,
+    "MAX_LEMMA_VERTICES": 20,
+    "MAX_LEMMA_EXACT_SIDE": 8,
+    # pricing oracles and enumeration
+    "MAX_UDP_ITEMS": 6,
+    "MAX_UDP_BUDGETS": 8,
+    "MAX_SMP_GROUPS": 10,
+    "MAX_SMP_ITEMS": 6,
+    "MAX_GEOMETRIC_WORK": 2_000_000,
+}
 
 
-def _cap(name: str, default: int) -> int:
+def __getattr__(name: str) -> int:
+    """Read a cap on first use and keep it as a module attribute."""
+    if name not in _DEFAULTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     raw = os.environ.get("MATCHPRICE_" + name)
-    return default if raw is None else int(raw)
-
-
-# graphs: exhaustive oracles
-MAX_IS_VERTICES = _cap("MAX_IS_VERTICES", 24)
-MAX_IM_EDGES = _cap("MAX_IM_EDGES", 256)
-MAX_BBIS_VERTICES = _cap("MAX_BBIS_VERTICES", 20)
-MAX_ALL_ORDER_VERTICES = _cap("MAX_ALL_ORDER_VERTICES", 10)
-
-# matching solvers
-MAX_EXACT_SIDE = _cap("MAX_EXACT_SIDE", 20)
-MAX_BLOCK_WORK = _cap("MAX_BLOCK_WORK", 2_000_000)
-
-# csp
-MAX_SAT_VARS = _cap("MAX_SAT_VARS", 20)
-MAX_FGLSS_VERTICES = _cap("MAX_FGLSS_VERTICES", 512)
-
-# dispersers
-MAX_VERIFY_SUBSETS = _cap("MAX_VERIFY_SUBSETS", 200_000)
-MAX_LEMMA_VERTICES = _cap("MAX_LEMMA_VERTICES", 20)
-MAX_LEMMA_EXACT_SIDE = _cap("MAX_LEMMA_EXACT_SIDE", 8)
-
-# pricing oracles and enumeration
-MAX_UDP_ITEMS = _cap("MAX_UDP_ITEMS", 6)
-MAX_UDP_BUDGETS = _cap("MAX_UDP_BUDGETS", 8)
-MAX_SMP_GROUPS = _cap("MAX_SMP_GROUPS", 10)
-MAX_SMP_ITEMS = _cap("MAX_SMP_ITEMS", 6)
-MAX_GEOMETRIC_WORK = _cap("MAX_GEOMETRIC_WORK", 2_000_000)
+    try:
+        value = _DEFAULTS[name] if raw is None else int(raw)
+    except ValueError:
+        raise InputError(f"MATCHPRICE_{name} must be an integer, got {raw!r}") from None
+    globals()[name] = value
+    return value
 
 
 def snapshot() -> dict:
     """All current cap values, for embedding in reports."""
-    return {k: v for k, v in sorted(globals().items()) if k.startswith("MAX_")}
+    module = sys.modules[__name__]
+    return {name: getattr(module, name) for name in sorted(_DEFAULTS)}

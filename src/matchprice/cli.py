@@ -137,8 +137,14 @@ def load_conflict_graph(path: str):
     if not isinstance(obj, dict) or "graph" not in obj or "labels" not in obj:
         raise InputError(f"{path} does not hold a labeled conflict graph")
     graph = Graph.from_json(obj["graph"])
-    labels = tuple((int(ci), str(pat)) for ci, pat in obj["labels"])
-    return graph, labels
+    labels = obj["labels"]
+    if not isinstance(labels, list) or not all(
+        isinstance(label, list) and len(label) == 2
+        and type(label[0]) is int and type(label[1]) is str
+        for label in labels
+    ):
+        raise InputError(f"{path}: labels must be [clause index, pattern] pairs")
+    return graph, tuple(tuple(label) for label in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +642,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        caps.snapshot()  # reads every cap override, so a bad one stops the command up front
         return args.handler(args)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

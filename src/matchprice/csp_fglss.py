@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from . import caps
 from .errors import CapExceeded, InputError
@@ -85,9 +86,6 @@ class CspInstance:
     def __repr__(self):
         return f"CspInstance(num_vars={self.num_vars}, clauses={len(self.clauses)})"
 
-    def max_arity(self) -> int:
-        return max((c.arity for c in self.clauses), default=0)
-
     def to_json(self) -> dict:
         return {
             "num_vars": self.num_vars,
@@ -111,23 +109,6 @@ class CspInstance:
             raise InputError(f"bad csp json: {exc}") from None
 
 
-def check_assignment(instance: CspInstance, assignment) -> tuple[int, ...]:
-    assignment = tuple(assignment)
-    if len(assignment) != instance.num_vars:
-        raise InputError(
-            f"assignment length {len(assignment)} != num_vars {instance.num_vars}"
-        )
-    if any(b not in (0, 1) for b in assignment):
-        raise InputError("assignment entries must be 0 or 1")
-    return assignment
-
-
-def evaluate(instance: CspInstance, assignment) -> int:
-    """Number of clauses the assignment satisfies."""
-    assignment = check_assignment(instance, assignment)
-    return sum(1 for c in instance.clauses if c.is_satisfied_by(assignment))
-
-
 def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:
     """Exact maximum satisfiable clause count and the lexicographically
     least optimal assignment.  Capped at caps.MAX_SAT_VARS variables."""
@@ -137,14 +118,11 @@ def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:
             f"got {instance.num_vars}",
             bound="MAX_SAT_VARS",
         )
-    best = -1
-    best_assignment: tuple[int, ...] = ()
-    for bits in product((0, 1), repeat=instance.num_vars):
-        score = sum(1 for c in instance.clauses if c.is_satisfied_by(bits))
-        if score > best:
-            best = score
-            best_assignment = bits
-    return best, best_assignment
+    scored = (
+        (sum(1 for c in instance.clauses if c.is_satisfied_by(bits)), bits)
+        for bits in product((0, 1), repeat=instance.num_vars)
+    )
+    return max(scored, key=itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +303,20 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
 
     The output is built from the labels and the supplied graphs alone (g
     gives only the vertex count), so pass the graph and labels exactly as
-    produced by fglss_build.  Every kept edge is an edge of the full
-    conflict graph, hence the independence number never decreases.
+    produced by fglss_build; a label that names no satisfying pattern of an
+    instance clause is an input error.  Every kept edge is an edge of the
+    full conflict graph, hence the independence number never decreases.
     """
     labels = tuple(labels)
     if len(labels) != g.vertex_count:
         raise InputError("label count does not match vertex count")
+    for vertex, (ci, pat) in enumerate(labels):
+        if not 0 <= ci < len(instance.clauses):
+            raise InputError(f"vertex {vertex}: clause index {ci} out of range")
+        if pat not in instance.clauses[ci].satisfying:
+            raise InputError(
+                f"vertex {vertex}: {pat!r} is not a satisfying pattern of clause {ci}"
+            )
     n = g.vertex_count
     edges = set()
     for u in range(n):

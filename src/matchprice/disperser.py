@@ -13,7 +13,6 @@ plain graph) has no semi-induced matching larger than 4*gamma*n under any
 left order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -40,27 +39,6 @@ def _as_gamma(gamma) -> Fraction:
     if not 0 < value < 1:
         raise InputError(f"gamma must lie strictly between 0 and 1, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class DisperserParams:
-    """Side size n, degree d, and density parameter gamma in (0, 1)."""
-
-    n: int
-    d: int
-    gamma: Fraction
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"side size must be positive, got {self.n}")
-        if not 1 <= self.d <= self.n:
-            raise InputError(f"degree must satisfy 1 <= d <= n, got d={self.d}, n={self.n}")
-        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
-
-    @property
-    def subset_size(self) -> int:
-        """ceil(gamma * n); the subset size the disperser property quantifies over."""
-        return math.ceil(self.gamma * self.n)
 
 
 class DisperserGraph(BipartiteGraph):
@@ -98,15 +76,6 @@ class DisperserGraph(BipartiteGraph):
             f"DisperserGraph({self.left_count}x{self.right_count}, "
             f"m={len(self.edges)}, d={self.target_degree})"
         )
-
-
-def suggest_degree(gamma, base: float = math.e) -> int:
-    """Degree ceil((3/gamma) * log(1/gamma)) for a target gamma.
-
-    The logarithm base defaults to e; pass base=2 for the binary reading.
-    """
-    gamma = _as_gamma(gamma)
-    return math.ceil((3 / gamma) * math.log(1 / gamma, base))
 
 
 def random_disperser(n: int, d: int, seed: int) -> DisperserGraph:

@@ -61,9 +61,6 @@ class Graph:
     def adjacency_mask(self, u: int) -> int:
         return self._adj[u]
 
-    def degree(self, u: int) -> int:
-        return self._adj[u].bit_count()
-
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self._adj), default=0)
 
@@ -128,9 +125,6 @@ class BipartiteGraph:
     def right_mask(self, w: int) -> int:
         """Bitmask of left neighbours of right vertex w."""
         return self._right_adj[w]
-
-    def degree_left(self, u: int) -> int:
-        return self._left_adj[u].bit_count()
 
     def degree_right(self, w: int) -> int:
         return self._right_adj[w].bit_count()
@@ -237,10 +231,6 @@ class VertexOrder:
         for position, v in enumerate(seq):
             ranks[v] = position
         return cls(ranks)
-
-    @classmethod
-    def identity(cls, n: int) -> "VertexOrder":
-        return cls(range(n))
 
     def rank(self, v: int) -> int:
         return self.ranks[v]

@@ -146,12 +146,7 @@ def block_optima_bipartite(bg: BipartiteGraph, r: int) -> list[tuple[int, Matchi
 def approx_induced_matching_bipartite(bg: BipartiteGraph, r: int) -> tuple[int, Matching]:
     """Best residue class of block_optima_bipartite: an induced matching of
     size at least ceil(im(bg) / r).  Ties go to the lowest class index."""
-    best_size = 0
-    best_m = Matching([])
-    for size, m in block_optima_bipartite(bg, r):
-        if size > best_size:
-            best_size, best_m = size, m
-    return best_size, best_m
+    return max(block_optima_bipartite(bg, r), key=lambda block: block[0])
 
 
 def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
@@ -193,9 +188,4 @@ def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
 def approx_induced_matching_general(g: Graph, r: int) -> tuple[int, Matching]:
     """Best residue class of block_optima_general: an induced matching of
     size at least ceil(im(g) / r).  Ties go to the lowest class index."""
-    best_size = 0
-    best_m = Matching([])
-    for size, m in block_optima_general(g, r):
-        if size > best_size:
-            best_size, best_m = size, m
-    return best_size, best_m
+    return max(block_optima_general(g, r), key=lambda block: block[0])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 import math
+from operator import itemgetter
 
 from . import caps, ratlp
 from .errors import CapExceeded, InputError
@@ -197,19 +198,6 @@ class SaleReport:
     sales: tuple
     revenue: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "revenue": format_rational(self.revenue),
-            "sales": [
-                {
-                    "payment": format_rational(s.payment),
-                    "bought": s.bought,
-                    "chosen_item": s.chosen_item,
-                }
-                for s in self.sales
-            ],
-        }
-
 
 def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> SaleReport:
     """Exact payments per group and the total revenue."""
@@ -250,6 +238,16 @@ def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> Sale
     return SaleReport(tuple(sales), revenue)
 
 
+def _best_prices(inst: PricingInstance, rule: str, vectors) -> tuple[Fraction, PriceFunction]:
+    """The best of the candidate price vectors, as (revenue, PriceFunction).
+
+    Ties go to the vector listed first: max keeps the first maximal item,
+    so each caller states its tie rule by the order of its candidates.
+    """
+    scored = ((evaluate_revenue(inst, rule, p).revenue, p) for p in map(PriceFunction, vectors))
+    return max(scored, key=itemgetter(0))
+
+
 # ---------------------------------------------------------------------------
 # exact oracles
 
@@ -272,16 +270,7 @@ def opt_udp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             f"UDP oracle limited to {caps.MAX_UDP_BUDGETS} distinct budgets, got {len(budgets)}",
             bound="MAX_UDP_BUDGETS",
         )
-    candidates = budgets + [INF]
-    best_revenue = None
-    best_prices = None
-    for combo in product(candidates, repeat=inst.item_count):
-        p = PriceFunction(combo)
-        revenue = evaluate_revenue(inst, UDP, p).revenue
-        if best_revenue is None or revenue > best_revenue:
-            best_revenue = revenue
-            best_prices = p
-    return best_revenue, best_prices
+    return _best_prices(inst, UDP, product(budgets + [INF], repeat=inst.item_count))
 
 
 def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
@@ -305,9 +294,7 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             bound="MAX_SMP_ITEMS",
         )
     n = inst.item_count
-    best_prices = PriceFunction.uniform(n, ZERO)
-    best_revenue = evaluate_revenue(inst, SMP, best_prices).revenue
-    best_key = best_prices.lex_key()
+    candidates = {PriceFunction.uniform(n, ZERO)}
     for mask in range(1, 1 << len(inst.groups)):
         winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
         objective = [ZERO] * n
@@ -323,14 +310,8 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             rows.append(row)
             bounds.append(g.budget)
         _, x = ratlp.maximize(objective, rows, bounds)
-        p = PriceFunction(x)
-        revenue = evaluate_revenue(inst, SMP, p).revenue
-        key = p.lex_key()
-        if revenue > best_revenue or (revenue == best_revenue and key < best_key):
-            best_revenue = revenue
-            best_prices = p
-            best_key = key
-    return best_revenue, best_prices
+        candidates.add(PriceFunction(x))
+    return _best_prices(inst, SMP, sorted(candidates, key=PriceFunction.lex_key))
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +319,12 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
 
 
 def uniform_price_approx(inst: PricingInstance, rule: str) -> tuple[Fraction, PriceFunction]:
-    """Best single price from {budgets} + {budget / bundle size}."""
+    """Best single price from {0} + {budgets} + {budget / bundle size}."""
     check_rule(rule)
-    candidates = {g.budget for g in inst.groups}
+    candidates = {ZERO}
+    candidates.update(g.budget for g in inst.groups)
     candidates.update(g.budget / len(g.bundle) for g in inst.groups)
-    best_prices = PriceFunction.uniform(inst.item_count, ZERO)
-    best_revenue = evaluate_revenue(inst, rule, best_prices).revenue
-    for value in sorted(candidates):
-        if value == 0:
-            continue
-        p = PriceFunction.uniform(inst.item_count, value)
-        revenue = evaluate_revenue(inst, rule, p).revenue
-        if revenue > best_revenue:
-            best_revenue = revenue
-            best_prices = p
-    return best_revenue, best_prices
+    return _best_prices(inst, rule, ([value] * inst.item_count for value in sorted(candidates)))
 
 
 def geometric_price_set(inst: PricingInstance, alpha: Fraction) -> list:
@@ -401,15 +373,7 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
             f"approximation_scheme",
             bound="MAX_GEOMETRIC_WORK",
         )
-    best_revenue = None
-    best_prices = None
-    for combo in product(ladder, repeat=inst.item_count):
-        p = PriceFunction(combo)
-        revenue = evaluate_revenue(inst, rule, p).revenue
-        if best_revenue is None or revenue > best_revenue:
-            best_revenue = revenue
-            best_prices = p
-    return best_revenue, best_prices
+    return _best_prices(inst, rule, product(ladder, repeat=inst.item_count))
 
 
 @dataclass(frozen=True)
@@ -504,12 +468,10 @@ def approximation_scheme(inst: PricingInstance, rule: str, delta, alpha) -> tupl
     q, uniform_branch = scheme_breakpoints(inst, delta)
     if uniform_branch:
         return uniform_price_approx(inst, rule)
-    best = None
-    for sub in partition_items(inst, q):
-        revenue, p_sub = geometric_enum_approx(sub.instance, rule, alpha)
-        if best is None or revenue > best[0]:
-            best = (revenue, sub, p_sub)
-    _, sub, p_sub = best
+    blocks = partition_items(inst, q)
+    _, p_sub, sub = max(
+        (geometric_enum_approx(b.instance, rule, alpha) + (b,) for b in blocks), key=itemgetter(0)
+    )
     extension = extend_prices(inst, sub.items, p_sub, rule)
     revenue = evaluate_revenue(inst, rule, extension).revenue
     return revenue, extension

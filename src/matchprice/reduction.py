@@ -65,13 +65,6 @@ class Coloring:
     def to_json(self) -> dict:
         return {"d": self.d, "colors": list(self.colors)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Coloring":
-        try:
-            return cls(obj["colors"], obj["d"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad coloring json: {exc}") from None
-
 
 def color_left(g: BipartiteGraph, d: int, seed: int) -> Coloring:
     """Independent uniform colors from [1, d] on the left side."""
@@ -199,8 +192,8 @@ def matching_to_prices(out: ReductionOutput, m: Matching, rule: str) -> PriceFun
     fill = INF if rule == UDP else ZERO
     prices = [fill] * out.instance.item_count
     for u, v in m:
-        i = out.coloring[u]
-        prices[out.item_of_right_vertex[v]] = Fraction(1, out.d ** (3 * i))
+        group = out.instance.groups[out.group_of_left_vertex[u]]
+        prices[out.item_of_right_vertex[v]] = group.budget
     return PriceFunction(prices)
 
 

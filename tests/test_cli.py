@@ -217,6 +217,20 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def run_cli(*argv, **environ):
+    """The CLI as a subprocess, with extra environment variables."""
+    src = str(Path(matchprice.__file__).resolve().parents[1])
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run(
+        [sys.executable, "-m", "matchprice.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def labeled_pair(labels):
+    return {"graph": {"n": 2, "edges": [[0, 1]]}, "labels": labels}
+
 
 MALFORMED_FILES = {
     "graph_edge_triple": {"n": 3, "edges": [[0, 1, 2]]},
@@ -227,7 +241,16 @@ MALFORMED_FILES = {
     "csp_satisfying_string": {
         "num_vars": 2, "clauses": [{"vars": [0, 1], "satisfying": "01"}],
     },
+    "csp_xor": {
+        "num_vars": 2, "clauses": [{"vars": [0, 1], "satisfying": ["01", "10"]}],
+    },
+    "labels_triple": labeled_pair([[0, "01", 5], [0, "10"]]),
+    "labels_float_index": labeled_pair([[0.9, "01"], [0, "10"]]),
+    "labels_clause_index": labeled_pair([[7, "01"], [0, "10"]]),
+    "labels_short_pattern": labeled_pair([[0, "10"], [0, "0"]]),
 }
+
+REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
 
 
 @pytest.mark.parametrize(
@@ -245,9 +268,14 @@ MALFORMED_FILES = {
         (["graph", "gen", "--n", "5", "--p", "0.5", "--out", "{missing_dir}/x.json"],
          "cannot write"),
         (["verify", "all", "--out", "{missing_dir}/r.json"], "cannot write"),
+        (REPLACE + ["{labels_triple}"], "[clause index, pattern] pairs"),
+        (REPLACE + ["{labels_float_index}"], "[clause index, pattern] pairs"),
+        (REPLACE + ["{labels_clause_index}"], "vertex 0: clause index 7 out of range"),
+        (REPLACE + ["{labels_short_pattern}"], "vertex 1: '0' is not a satisfying pattern"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
-         "p-below-zero", "gen-out-unwritable", "verify-out-unwritable"],
+         "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
+         "label-float-index", "label-clause-index", "label-short-pattern"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
@@ -255,13 +283,16 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
         paths[name] = str(path)
-    src = str(Path(matchprice.__file__).resolve().parents[1])
-    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "matchprice.cli", *(arg.format(**paths) for arg in argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli(*(arg.format(**paths) for arg in argv))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_non_integer_cap_override_exits_two_without_traceback():
+    proc = run_cli("verify", "all", MATCHPRICE_MAX_IS_VERTICES="abc")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: MATCHPRICE_MAX_IS_VERTICES")
+    assert proc.stdout == ""
+

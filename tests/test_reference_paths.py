@@ -3,23 +3,29 @@
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: the depth-first "one incident edge or nothing" search for the
 general r-approximation classes, the all-orders enumeration with its
-per-kind feasibility tests, and the pair-by-pair re-derivation of the edges
-disperser_replace keeps.  The engines must return the same values and the
-same witnesses on every seeded input.
+per-kind feasibility tests, the pair-by-pair re-derivation of the edges
+disperser_replace keeps, and the hand-written best-so-far loops of the
+pricing algorithms, the r-approximations and the max-sat oracle.  The
+engines must return the same values and the same witnesses on every seeded
+input, and refuse the same inputs.
 """
 
 import heapq
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from matchprice import caps
+from matchprice import caps, ratlp
 from matchprice.csp_fglss import (
+    CspInstance,
     disperser_replace,
     fglss_build,
     gap_amplify,
+    max_sat_bruteforce,
     random_balanced_csp,
+    random_csp,
     variable_sides,
 )
 from matchprice.disperser import random_disperser
@@ -35,11 +41,34 @@ from matchprice.graphs import (
     random_graph,
 )
 from matchprice.matching_solvers import (
+    approx_induced_matching_bipartite,
     approx_induced_matching_general,
     bit_indices,
+    block_optima_bipartite,
     block_optima_general,
     round_robin_blocks,
 )
+from matchprice.pricing import (
+    RULES,
+    SMP,
+    UDP,
+    ZERO,
+    Group,
+    PriceFunction,
+    PricingInstance,
+    approximation_scheme,
+    check_rule,
+    evaluate_revenue,
+    extend_prices,
+    geometric_enum_approx,
+    geometric_price_set,
+    opt_smp_bruteforce,
+    opt_udp_bruteforce,
+    partition_items,
+    scheme_breakpoints,
+    uniform_price_approx,
+)
+from matchprice.rationals import INF
 
 # ---------------------------------------------------------------------------
 # general r-approximation classes: depth-first search per class
@@ -365,3 +394,256 @@ def test_disperser_replace_matches_rederivation(amplified):
         got = disperser_replace(graph, labels, inst, seeded_supplier(seed))
         expected = ref_disperser_replace(graph, labels, inst, seeded_supplier(seed))
         assert got.sorted_edges() == expected.sorted_edges()
+
+
+# ---------------------------------------------------------------------------
+# pricing: one best-so-far loop per algorithm
+
+
+def ref_opt_udp_bruteforce(inst):
+    if inst.item_count > caps.MAX_UDP_ITEMS:
+        raise CapExceeded(
+            f"UDP oracle limited to {caps.MAX_UDP_ITEMS} items, got {inst.item_count}",
+            bound="MAX_UDP_ITEMS",
+        )
+    budgets = inst.distinct_budgets()
+    if len(budgets) > caps.MAX_UDP_BUDGETS:
+        raise CapExceeded(
+            f"UDP oracle limited to {caps.MAX_UDP_BUDGETS} distinct budgets, got {len(budgets)}",
+            bound="MAX_UDP_BUDGETS",
+        )
+    candidates = budgets + [INF]
+    best_revenue = None
+    best_prices = None
+    for combo in product(candidates, repeat=inst.item_count):
+        p = PriceFunction(combo)
+        revenue = evaluate_revenue(inst, UDP, p).revenue
+        if best_revenue is None or revenue > best_revenue:
+            best_revenue = revenue
+            best_prices = p
+    return best_revenue, best_prices
+
+
+def ref_opt_smp_bruteforce(inst):
+    if len(inst.groups) > caps.MAX_SMP_GROUPS:
+        raise CapExceeded(
+            f"SMP oracle limited to {caps.MAX_SMP_GROUPS} groups, got {len(inst.groups)}",
+            bound="MAX_SMP_GROUPS",
+        )
+    if inst.item_count > caps.MAX_SMP_ITEMS:
+        raise CapExceeded(
+            f"SMP oracle limited to {caps.MAX_SMP_ITEMS} items, got {inst.item_count}",
+            bound="MAX_SMP_ITEMS",
+        )
+    n = inst.item_count
+    best_prices = PriceFunction.uniform(n, ZERO)
+    best_revenue = evaluate_revenue(inst, SMP, best_prices).revenue
+    best_key = best_prices.lex_key()
+    for mask in range(1, 1 << len(inst.groups)):
+        winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
+        objective = [ZERO] * n
+        for g in winners:
+            for i in g.bundle:
+                objective[i] += g.multiplicity
+        rows = []
+        bounds = []
+        for g in winners:
+            row = [ZERO] * n
+            for i in g.bundle:
+                row[i] = Fraction(1)
+            rows.append(row)
+            bounds.append(g.budget)
+        _, x = ratlp.maximize(objective, rows, bounds)
+        p = PriceFunction(x)
+        revenue = evaluate_revenue(inst, SMP, p).revenue
+        key = p.lex_key()
+        if revenue > best_revenue or (revenue == best_revenue and key < best_key):
+            best_revenue = revenue
+            best_prices = p
+            best_key = key
+    return best_revenue, best_prices
+
+
+def ref_uniform_price_approx(inst, rule):
+    check_rule(rule)
+    candidates = {g.budget for g in inst.groups}
+    candidates.update(g.budget / len(g.bundle) for g in inst.groups)
+    best_prices = PriceFunction.uniform(inst.item_count, ZERO)
+    best_revenue = evaluate_revenue(inst, rule, best_prices).revenue
+    for value in sorted(candidates):
+        if value == 0:
+            continue
+        p = PriceFunction.uniform(inst.item_count, value)
+        revenue = evaluate_revenue(inst, rule, p).revenue
+        if revenue > best_revenue:
+            best_revenue = revenue
+            best_prices = p
+    return best_revenue, best_prices
+
+
+def ref_geometric_enum_approx(inst, rule, alpha):
+    check_rule(rule)
+    alpha = Fraction(alpha)
+    ladder = geometric_price_set(inst, alpha)
+    work = len(ladder) ** inst.item_count
+    if work > caps.MAX_GEOMETRIC_WORK:
+        raise CapExceeded(
+            f"geometric enumeration needs {len(ladder)}^{inst.item_count} = {work} "
+            f"evaluations, limit {caps.MAX_GEOMETRIC_WORK}; use a larger alpha or "
+            f"approximation_scheme",
+            bound="MAX_GEOMETRIC_WORK",
+        )
+    best_revenue = None
+    best_prices = None
+    for combo in product(ladder, repeat=inst.item_count):
+        p = PriceFunction(combo)
+        revenue = evaluate_revenue(inst, rule, p).revenue
+        if best_revenue is None or revenue > best_revenue:
+            best_revenue = revenue
+            best_prices = p
+    return best_revenue, best_prices
+
+
+def ref_approximation_scheme(inst, rule, delta, alpha):
+    check_rule(rule)
+    delta = Fraction(delta)
+    alpha = Fraction(alpha)
+    q, uniform_branch = scheme_breakpoints(inst, delta)
+    if uniform_branch:
+        return ref_uniform_price_approx(inst, rule)
+    best = None
+    for sub in partition_items(inst, q):
+        revenue, p_sub = ref_geometric_enum_approx(sub.instance, rule, alpha)
+        if best is None or revenue > best[0]:
+            best = (revenue, sub, p_sub)
+    _, sub, p_sub = best
+    extension = extend_prices(inst, sub.items, p_sub, rule)
+    revenue = evaluate_revenue(inst, rule, extension).revenue
+    return revenue, extension
+
+
+def tie_prone_instance(rng):
+    """At most 4 items and 6 groups; budgets from a small pool holding 0 and
+    repeats, so many price vectors earn the same revenue."""
+    n = rng.randint(1, 4)
+    groups = []
+    for _ in range(rng.randint(1, 6)):
+        bundle = frozenset(rng.sample(range(n), rng.randint(1, min(n, 3))))
+        budget = rng.choice((ZERO, ZERO, Fraction(1, 2), Fraction(1), Fraction(1), Fraction(3)))
+        groups.append(Group(bundle, budget, rng.choice((1, 1, 2, 3, 7))))
+    return PricingInstance(n, groups)
+
+
+PRICING_CORPUS = [tie_prone_instance(random.Random(9000 + k)) for k in range(90)]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_pricing_oracles_match_best_so_far_loops(rule, monkeypatch):
+    monkeypatch.setattr(caps, "MAX_UDP_BUDGETS", 3)
+    monkeypatch.setattr(caps, "MAX_SMP_GROUPS", 5)
+    oracle, ref = {
+        UDP: (opt_udp_bruteforce, ref_opt_udp_bruteforce),
+        SMP: (opt_smp_bruteforce, ref_opt_smp_bruteforce),
+    }[rule]
+    refused = 0
+    for inst in PRICING_CORPUS:
+        expected = outcome(ref, inst)
+        assert outcome(oracle, inst) == expected, inst.groups
+        refused += expected[0] == "refused"
+    assert 0 < refused < len(PRICING_CORPUS) // 2
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_pricing_heuristics_match_best_so_far_loops(rule, monkeypatch):
+    monkeypatch.setattr(caps, "MAX_GEOMETRIC_WORK", 600)
+    refused = 0
+    block_branch = 0
+    for inst in PRICING_CORPUS:
+        assert uniform_price_approx(inst, rule) == ref_uniform_price_approx(inst, rule)
+        for alpha in (Fraction(2), Fraction(3, 2)):
+            expected = outcome(ref_geometric_enum_approx, inst, rule, alpha)
+            assert outcome(geometric_enum_approx, inst, rule, alpha) == expected, inst.groups
+            refused += expected[0] == "refused"
+            for delta in (Fraction(1, 2), Fraction(1, 3)):
+                expected = outcome(ref_approximation_scheme, inst, rule, delta, alpha)
+                got = outcome(approximation_scheme, inst, rule, delta, alpha)
+                assert got == expected, inst.groups
+                block_branch += not scheme_breakpoints(inst, delta)[1]
+    assert 0 < refused < len(PRICING_CORPUS)
+    assert block_branch > 20
+
+
+# ---------------------------------------------------------------------------
+# r-approximations and max-sat: best-so-far loops
+
+
+def ref_approx_induced_matching_bipartite(bg, r):
+    best_size = 0
+    best_m = Matching([])
+    for size, m in block_optima_bipartite(bg, r):
+        if size > best_size:
+            best_size, best_m = size, m
+    return best_size, best_m
+
+
+def ref_approx_induced_matching_general(g, r):
+    best_size = 0
+    best_m = Matching([])
+    for size, m in block_optima_general(g, r):
+        if size > best_size:
+            best_size, best_m = size, m
+    return best_size, best_m
+
+
+def ref_max_sat_bruteforce(instance):
+    if instance.num_vars > caps.MAX_SAT_VARS:
+        raise CapExceeded(
+            f"assignment enumeration limited to {caps.MAX_SAT_VARS} variables, "
+            f"got {instance.num_vars}",
+            bound="MAX_SAT_VARS",
+        )
+    best = -1
+    best_assignment = ()
+    for bits in product((0, 1), repeat=instance.num_vars):
+        score = sum(1 for c in instance.clauses if c.is_satisfied_by(bits))
+        if score > best:
+            best = score
+            best_assignment = bits
+    return best, best_assignment
+
+
+def test_approximations_match_best_so_far_loops(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_BLOCK_WORK", 5000)
+    monkeypatch.setattr(caps, "MAX_EXACT_SIDE", 6)
+    rng = random.Random(20131)
+    refused = 0
+    for r in (1, 2, 3, 12):
+        for n in range(2, 11):
+            for p in (0.2, 0.5, 0.8):
+                g = random_graph(n, p, seed=rng.randrange(10**6))
+                expected = outcome(ref_approx_induced_matching_general, g, r)
+                got = outcome(approx_induced_matching_general, g, r)
+                assert got == expected, (g.to_json(), r)
+                refused += expected[0] == "refused"
+        for left in range(1, 8):
+            for right in range(1, 8):
+                bg = random_bipartite(left, right, rng.choice((0.2, 0.5, 0.8)),
+                                      seed=rng.randrange(10**6))
+                expected = outcome(ref_approx_induced_matching_bipartite, bg, r)
+                got = outcome(approx_induced_matching_bipartite, bg, r)
+                assert got == expected, (bg.to_json(), r)
+                refused += expected[0] == "refused"
+    assert refused > 0
+
+
+def test_max_sat_matches_best_so_far_loop(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_SAT_VARS", 7)
+    rng = random.Random(20132)
+    corpus = [CspInstance(0, [])]
+    for num_vars in range(1, 9):
+        for _ in range(12):
+            arity = rng.randint(1, min(num_vars, 3))
+            corpus.append(random_csp(num_vars, rng.randint(1, 6), arity, rng.randrange(10**6)))
+    for instance in corpus:
+        expected = outcome(ref_max_sat_bruteforce, instance)
+        assert outcome(max_sat_bruteforce, instance) == expected, instance.to_json()
