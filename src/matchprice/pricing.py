@@ -7,9 +7,12 @@ buys the whole bundle when the bundle sum fits.  A group stands for
 keeps instances small even when a construction wants astronomically many
 duplicate consumers.
 
-All money is fractions.Fraction.  The INF sentinel ("never sold") is legal
-only under UDP.  Every algorithm returns (revenue, PriceFunction) with the
-revenue exactly equal to evaluate_revenue of the returned prices.
+All money is fractions.Fraction at every API and JSON boundary.  The INF
+sentinel ("never sold") is legal only under UDP.  Every algorithm returns
+(revenue, PriceFunction) with the revenue exactly equal to evaluate_revenue
+of the returned prices.  Internally the candidate search scores each price
+vector in scaled integers over one common denominator, which is exact
+because every algorithm draws its prices from a finite list of rationals.
 """
 
 from dataclasses import dataclass
@@ -238,14 +241,45 @@ def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> Sale
     return SaleReport(tuple(sales), revenue)
 
 
-def _best_prices(inst: PricingInstance, rule: str, vectors) -> tuple[Fraction, PriceFunction]:
-    """The best of the candidate price vectors, as (revenue, PriceFunction).
+def _best_prices(inst: PricingInstance, rule: str, values, vectors) -> tuple[Fraction, PriceFunction]:
+    """The best candidate price vector, as (revenue, PriceFunction).
 
-    Ties go to the vector listed first: max keeps the first maximal item,
-    so each caller states its tie rule by the order of its candidates.
+    values lists the prices the candidates draw from (INF only under UDP);
+    each vector is a tuple of indices into it, one per item.  Every budget
+    and finite value is scaled by the lcm of their denominators, so each
+    vector is scored in exact int arithmetic and only the winner becomes a
+    Fraction and a PriceFunction.  INF scales to a price above every
+    budget, which nobody buys.
+
+    Ties go to the vector listed first (strict >), so each caller states
+    its tie rule by the order of its candidates.
     """
-    scored = ((evaluate_revenue(inst, rule, p).revenue, p) for p in map(PriceFunction, vectors))
-    return max(scored, key=itemgetter(0))
+    finite = [v for v in values if not is_infinite(v)]
+    if rule == SMP and len(finite) < len(values):
+        raise InputError("INF prices are not allowed under SMP; use 0 to give items away")
+    for value in finite:
+        if value < 0:
+            raise InputError(f"prices must be nonnegative, got {value}")
+    scale = math.lcm(*(v.denominator for v in finite), *(g.budget.denominator for g in inst.groups))
+    groups = [
+        (tuple(g.bundle), g.budget.numerator * (scale // g.budget.denominator), g.multiplicity)
+        for g in inst.groups
+    ]
+    never = 1 + max((budget for _, budget, _ in groups), default=0)
+    scaled = [never if is_infinite(v) else v.numerator * (scale // v.denominator) for v in values]
+    price_of = min if rule == UDP else sum
+
+    best_revenue = -1
+    for vector in vectors:
+        prices = list(map(scaled.__getitem__, vector))
+        revenue = 0
+        for bundle, budget, multiplicity in groups:
+            price = price_of(map(prices.__getitem__, bundle))
+            if price <= budget:
+                revenue += multiplicity * price
+        if revenue > best_revenue:
+            best_revenue, best_vector = revenue, vector
+    return Fraction(best_revenue, scale), PriceFunction([values[i] for i in best_vector])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +304,8 @@ def opt_udp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             f"UDP oracle limited to {caps.MAX_UDP_BUDGETS} distinct budgets, got {len(budgets)}",
             bound="MAX_UDP_BUDGETS",
         )
-    return _best_prices(inst, UDP, product(budgets + [INF], repeat=inst.item_count))
+    values = budgets + [INF]
+    return _best_prices(inst, UDP, values, product(range(len(values)), repeat=inst.item_count))
 
 
 def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
@@ -294,7 +329,7 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             bound="MAX_SMP_ITEMS",
         )
     n = inst.item_count
-    candidates = {PriceFunction.uniform(n, ZERO)}
+    vertices = {(ZERO,) * n}
     for mask in range(1, 1 << len(inst.groups)):
         winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
         objective = [ZERO] * n
@@ -310,8 +345,12 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             rows.append(row)
             bounds.append(g.budget)
         _, x = ratlp.maximize(objective, rows, bounds)
-        candidates.add(PriceFunction(x))
-    return _best_prices(inst, SMP, sorted(candidates, key=PriceFunction.lex_key))
+        vertices.add(tuple(x))
+    values = sorted({v for x in vertices for v in x})
+    index = {v: i for i, v in enumerate(values)}
+    # Ascending tuple order, so a tie goes to the lexicographically least vertex.
+    vectors = (tuple(index[v] for v in x) for x in sorted(vertices))
+    return _best_prices(inst, SMP, values, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +363,8 @@ def uniform_price_approx(inst: PricingInstance, rule: str) -> tuple[Fraction, Pr
     candidates = {ZERO}
     candidates.update(g.budget for g in inst.groups)
     candidates.update(g.budget / len(g.bundle) for g in inst.groups)
-    return _best_prices(inst, rule, ([value] * inst.item_count for value in sorted(candidates)))
+    values = sorted(candidates)
+    return _best_prices(inst, rule, values, ((i,) * inst.item_count for i in range(len(values))))
 
 
 def geometric_price_set(inst: PricingInstance, alpha: Fraction) -> list:
@@ -373,7 +413,7 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
             f"approximation_scheme",
             bound="MAX_GEOMETRIC_WORK",
         )
-    return _best_prices(inst, rule, product(ladder, repeat=inst.item_count))
+    return _best_prices(inst, rule, ladder, product(range(len(ladder)), repeat=inst.item_count))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from matchprice.pricing import (
     Group,
     PriceFunction,
     PricingInstance,
+    _best_prices,
     approximation_scheme,
     evaluate_revenue,
     extend_prices,
@@ -152,6 +153,21 @@ def test_inf_prices():
     assert evaluate_revenue(i, UDP, PriceFunction([INF, 3])).revenue == 3
     with pytest.raises(InputError):
         evaluate_revenue(i, SMP, PriceFunction([INF, 3]))
+
+
+def test_best_prices_scores_inf_as_never_sold():
+    i = inst(2, ({0, 1}, 5, 1), ({0}, 5, 2))
+    values = [INF, F(1)]
+    assert _best_prices(i, UDP, values, [(0, 0)]) == (0, PriceFunction([INF, INF]))
+    assert _best_prices(i, UDP, values, [(0, 0), (0, 1)]) == (1, PriceFunction([INF, 1]))
+
+
+def test_best_prices_checks_the_value_list():
+    i = inst(2, ({0, 1}, 5, 1))
+    with pytest.raises(InputError, match="INF prices are not allowed under SMP"):
+        _best_prices(i, SMP, [F(0), INF], [(0, 0)])
+    with pytest.raises(InputError, match="prices must be nonnegative, got -1/2"):
+        _best_prices(i, UDP, [F(-1, 2), F(0)], [(1, 1)])
 
 
 def test_evaluate_validates_coverage():

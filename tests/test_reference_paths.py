@@ -4,20 +4,22 @@ Each reference below is the earlier implementation, kept verbatim in
 behaviour: the depth-first "one incident edge or nothing" search for the
 general r-approximation classes, the all-orders enumeration with its
 per-kind feasibility tests, the pair-by-pair re-derivation of the edges
-disperser_replace keeps, and the hand-written best-so-far loops of the
-pricing algorithms, the r-approximations and the max-sat oracle.  The
-engines must return the same values and the same witnesses on every seeded
-input, and refuse the same inputs.
+disperser_replace keeps, the hand-written best-so-far loops of the
+pricing algorithms, the r-approximations and the max-sat oracle, and the
+Fraction revenue search that scored every candidate price vector with
+evaluate_revenue.  The engines must return the same values and the same
+witnesses on every seeded input, and refuse the same inputs.
 """
 
 import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 
 import pytest
 
-from matchprice import caps, ratlp
+from matchprice import caps, pricing, ratlp
 from matchprice.csp_fglss import (
     CspInstance,
     disperser_replace,
@@ -571,6 +573,84 @@ def test_pricing_heuristics_match_best_so_far_loops(rule, monkeypatch):
                 block_branch += not scheme_breakpoints(inst, delta)[1]
     assert 0 < refused < len(PRICING_CORPUS)
     assert block_branch > 20
+
+
+# ---------------------------------------------------------------------------
+# pricing: the Fraction revenue search the integer kernel replaced
+
+
+def ref_best_prices(inst, rule, vectors):
+    scored = ((evaluate_revenue(inst, rule, p).revenue, p) for p in map(PriceFunction, vectors))
+    return max(scored, key=itemgetter(0))
+
+
+def ref_best_prices_over_values(inst, rule, values, vectors):
+    """The reference search on the kernel's (values, index vectors) input."""
+    return ref_best_prices(inst, rule, ([values[i] for i in v] for v in vectors))
+
+
+def scaling_instance(rng):
+    """At most 3 items and 5 groups with budgets 1/d^(3i), d in {3, 4}, as
+    the reduction assigns them, plus zeros and repeats for ties;
+    multiplicities up to 5.  Small bundles give UDP oracle candidates that
+    price a group's whole bundle INF."""
+    d = rng.choice((3, 4))
+    pool = (ZERO, ZERO, Fraction(1), Fraction(1), Fraction(2, 3)) + tuple(
+        Fraction(1, d ** (3 * i)) for i in range(1, 4)
+    )
+    n = rng.randint(1, 3)
+    groups = []
+    for _ in range(rng.randint(1, 5)):
+        bundle = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        groups.append(Group(bundle, rng.choice(pool), rng.randint(1, 5)))
+    return PricingInstance(n, groups)
+
+
+SCALING_CORPUS = [scaling_instance(random.Random(7000 + k)) for k in range(60)]
+ALPHAS = (Fraction(2), Fraction(3, 2), Fraction(5, 4))
+
+
+def every_pricing_call(inst):
+    """(rule, algorithm, args) for each pricing algorithm on inst."""
+    yield UDP, opt_udp_bruteforce, (inst,)
+    yield SMP, opt_smp_bruteforce, (inst,)
+    for rule in RULES:
+        yield rule, uniform_price_approx, (inst, rule)
+        for alpha in ALPHAS:
+            yield rule, geometric_enum_approx, (inst, rule, alpha)
+            yield rule, approximation_scheme, (inst, rule, Fraction(1, 2), alpha)
+
+
+def lower_pricing_caps(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_UDP_BUDGETS", 4)
+    monkeypatch.setattr(caps, "MAX_SMP_GROUPS", 4)
+    monkeypatch.setattr(caps, "MAX_GEOMETRIC_WORK", 400)
+
+
+def test_integer_kernel_matches_fraction_search(monkeypatch):
+    lower_pricing_caps(monkeypatch)
+    expected = []
+    with monkeypatch.context() as m:
+        m.setattr(pricing, "_best_prices", ref_best_prices_over_values)
+        for inst in SCALING_CORPUS:
+            expected.append([outcome(fn, *args) for _, fn, args in every_pricing_call(inst)])
+    refused = answered = 0
+    for inst, want in zip(SCALING_CORPUS, expected):
+        for (rule, fn, args), result in zip(every_pricing_call(inst), want):
+            assert outcome(fn, *args) == result, (fn.__name__, rule, args[2:], inst.groups)
+            refused += result[0] == "refused"
+            answered += result[0] != "refused"
+    assert 0 < refused < answered
+
+
+def test_every_pricing_algorithm_returns_evaluated_revenue(monkeypatch):
+    lower_pricing_caps(monkeypatch)
+    for inst in SCALING_CORPUS:
+        for rule, fn, args in every_pricing_call(inst):
+            result = outcome(fn, *args)
+            if result[0] != "refused":
+                revenue, prices = result
+                assert revenue == evaluate_revenue(inst, rule, prices).revenue, (fn.__name__, inst.groups)
 
 
 # ---------------------------------------------------------------------------
