@@ -201,10 +201,9 @@ def cmd_csp_fglss(args) -> int:
     return 0
 
 
-def make_disperser_supplier(gamma: Fraction, degree: int, seed: int):
+def make_disperser_supplier(degree: int, seed: int):
     """One random construction per call, seeded by call index; degree is
     clamped to the side size (a disperser cannot exceed it)."""
-    del gamma  # the target ratio informs the caller's degree choice only
     counter = {"next": 0}
 
     def supplier(size: int) -> BipartiteGraph:
@@ -218,7 +217,7 @@ def make_disperser_supplier(gamma: Fraction, degree: int, seed: int):
 def cmd_csp_replace(args) -> int:
     instance = load_csp(args.input)
     graph, labels = load_conflict_graph(args.graph)
-    supplier = make_disperser_supplier(args.gamma, args.d, args.seed)
+    supplier = make_disperser_supplier(args.d, args.seed)
     replaced = disperser_replace(graph, labels, instance, supplier)
     artifact = {"graph": replaced.to_json(), "labels": [list(label) for label in labels]}
     report = report_for(
@@ -414,7 +413,7 @@ def cmd_pipeline(args) -> int:
         stage["independence"] = alpha
     stages["fglss"] = stage
 
-    supplier = make_disperser_supplier(args.gamma, args.d, args.seed)
+    supplier = make_disperser_supplier(args.d, args.seed)
     replaced = disperser_replace(graph, labels, amplified, supplier)
     stage = {"vertices": replaced.vertex_count, "edges": len(replaced.edges)}
     if replaced.vertex_count <= caps.MAX_IS_VERTICES:

@@ -42,7 +42,7 @@ class Clause:
         if len(set(self.variables)) != len(self.variables):
             raise InputError(f"clause variables {self.variables} are not distinct")
         for v in self.variables:
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"bad variable {v!r}")
         a = len(self.variables)
         for pat in self.satisfying:
@@ -65,8 +65,8 @@ class CspInstance:
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
-        if num_vars < 0:
-            raise InputError("num_vars must be nonnegative")
+        if isinstance(num_vars, bool) or num_vars < 0:
+            raise InputError(f"num_vars must be a nonnegative integer, got {num_vars!r}")
         self.num_vars = num_vars
         self.clauses = tuple(clauses)
         for c in self.clauses:

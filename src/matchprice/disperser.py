@@ -138,12 +138,15 @@ def check_disperser_lemma(g: BipartiteGraph, gamma, seed: int = 0, samples: int 
     (b) The double cover of the disperser-as-graph admits no semi-induced
         matching larger than 4*gamma*n.  Exact over all left orders when
         n <= caps.MAX_LEMMA_EXACT_SIDE, otherwise the maximum over `samples`
-        random orders drawn from random.Random(seed).
+        random orders drawn from random.Random(seed); samples must be at
+        least 1.
 
     The input must pass verify_disperser first; a failing graph is refused.
     Returns a report dict with both values, bounds, and ok flags.
     """
     gamma = _as_gamma(gamma)
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     n = g.left_count
     total = g.left_count + g.right_count
     if total > caps.MAX_LEMMA_VERTICES:

@@ -11,13 +11,17 @@ Matching notions used throughout:
 * induced matching: a matching M such that no graph edge joins endpoints of
   two distinct edges of M.
 * order-respecting (semi-induced) matching for an order sigma: only edges
-  "from earlier to later" are forbidden.  For a bipartite graph, sigma ranks
-  the left side and a pair uv, u'v' in M with rank(u) < rank(u') must not
-  have the edge uv'.  For a general graph each matching edge is anchored at
+  "from earlier to later" are forbidden.  Each matching edge is anchored at
   its lower-ranked endpoint, and for two edges e, f whose anchors satisfy
   rank(anchor(e)) < rank(anchor(f)) the graph must contain no edge from
   anchor(e) to either endpoint of f.  Every induced matching qualifies
   under every sigma.
+
+Both rules are written once, for general graphs.  A bipartite graph is read
+as its flattening (bipartite_to_graph): right w is vertex left_count + w,
+and an order of its lefts ranks every right after every left.  Each edge
+is then anchored at its left end, so for matching edges uv, u'v' with
+rank(u) < rank(u') the semi-induced rule forbids exactly the edge uv'.
 """
 
 from __future__ import annotations
@@ -38,13 +42,15 @@ class Graph:
     __slots__ = ("vertex_count", "edges", "_adj")
 
     def __init__(self, vertex_count: int, edges):
-        if vertex_count < 0:
-            raise InputError("vertex_count must be nonnegative")
+        if isinstance(vertex_count, bool) or vertex_count < 0:
+            raise InputError(f"vertex_count must be a nonnegative integer, got {vertex_count!r}")
         self.vertex_count = vertex_count
         adj = [0] * vertex_count
         seen = set()
         for edge in edges:
             u, w = edge
+            if isinstance(u, bool) or isinstance(w, bool):
+                raise InputError(f"edge {edge} endpoints must be integers")
             if not (0 <= u < vertex_count and 0 <= w < vertex_count):
                 raise InputError(f"edge {edge} out of range for n={vertex_count}")
             if u == w:
@@ -97,8 +103,10 @@ class BipartiteGraph:
     __slots__ = ("left_count", "right_count", "edges", "_left_adj", "_right_adj")
 
     def __init__(self, left_count: int, right_count: int, edges):
-        if left_count < 0 or right_count < 0:
-            raise InputError("side sizes must be nonnegative")
+        if any(isinstance(c, bool) or c < 0 for c in (left_count, right_count)):
+            raise InputError(
+                f"side sizes must be nonnegative integers, got {left_count!r} and {right_count!r}"
+            )
         self.left_count = left_count
         self.right_count = right_count
         left_adj = [0] * left_count
@@ -106,6 +114,8 @@ class BipartiteGraph:
         seen = set()
         for edge in edges:
             u, w = edge
+            if isinstance(u, bool) or isinstance(w, bool):
+                raise InputError(f"edge {edge} endpoints must be integers")
             if not (0 <= u < left_count and 0 <= w < right_count):
                 raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
             seen.add((u, w))
@@ -255,99 +265,54 @@ class VertexOrder:
 # matching validity
 
 
-def _checked_pairs(g, m: Matching) -> list[tuple[int, int]]:
-    """Range-check matching endpoints against g; raises InputError."""
-    pairs = []
+def _flat(g) -> Graph:
+    """g itself, or the flattened Graph of a bipartite g."""
+    return bipartite_to_graph(g) if isinstance(g, BipartiteGraph) else g
+
+
+def _flat_pairs(g, m: Matching) -> tuple[Graph, list[tuple[int, int]]]:
+    """Range-check m against g (raises InputError); the flat graph and m's
+    pairs in its numbering."""
     if isinstance(g, BipartiteGraph):
         for u, w in m:
             if not (0 <= u < g.left_count and 0 <= w < g.right_count):
                 raise InputError(f"matching edge ({u}, {w}) out of range")
-            pairs.append((u, w))
-    else:
-        for u, w in m:
-            if not (0 <= u < g.vertex_count and 0 <= w < g.vertex_count) or u == w:
-                raise InputError(f"matching edge ({u}, {w}) out of range")
-            pairs.append((u, w))
-    return pairs
+        return bipartite_to_graph(g), [(u, g.left_count + w) for u, w in m]
+    for u, w in m:
+        if not (0 <= u < g.vertex_count and 0 <= w < g.vertex_count) or u == w:
+            raise InputError(f"matching edge ({u}, {w}) out of range")
+    return g, list(m)
 
 
-def _is_matching_in(g, pairs) -> bool:
-    used = set()
-    for u, w in pairs:
-        if not g.has_edge(u, w):
-            return False
+def _flat_ranks(g, order: VertexOrder) -> tuple[int, ...]:
+    """Shape-check the order against g (raises InputError); ranks of every
+    flat vertex, the rights of a bipartite g after all of its lefts."""
     if isinstance(g, BipartiteGraph):
-        for u, w in pairs:
-            if ("L", u) in used or ("R", w) in used:
-                return False
-            used.add(("L", u))
-            used.add(("R", w))
-    else:
-        for u, w in pairs:
-            if u in used or w in used:
-                return False
-            used.add(u)
-            used.add(w)
-    return True
+        if len(order) != g.left_count:
+            raise InputError("order must rank the left side of a bipartite graph")
+        return order.ranks + tuple(range(g.left_count, g.left_count + g.right_count))
+    if len(order) != g.vertex_count:
+        raise InputError("order must rank every vertex of a general graph")
+    return order.ranks
 
 
 def is_induced_matching(g, m: Matching) -> bool:
     """True iff m is a matching in g and no g-edge joins two distinct m-edges."""
-    pairs = _checked_pairs(g, m)
-    if not _is_matching_in(g, pairs):
-        return False
-    bip = isinstance(g, BipartiteGraph)
-    for i in range(len(pairs)):
-        for j in range(len(pairs)):
-            if i == j:
-                continue
-            u_i, w_i = pairs[i]
-            u_j, w_j = pairs[j]
-            if bip:
-                if g.has_edge(u_i, w_j):
-                    return False
-            else:
-                if g.has_edge(u_i, u_j) or g.has_edge(u_i, w_j) or g.has_edge(w_i, w_j):
-                    return False
-    return True
+    flat, pairs = _flat_pairs(g, m)
+    # the conflict builders take g-edges only, so the edge test goes first
+    return all(flat.has_edge(u, w) for u, w in pairs) and not any(
+        _edge_conflicts_induced(flat, pairs)
+    )
 
 
 def is_semi_induced_matching(g, order: VertexOrder, m: Matching) -> bool:
-    """True iff m is a matching in g respecting the order as described above."""
-    pairs = _checked_pairs(g, m)
-    if isinstance(g, BipartiteGraph):
-        if len(order) != g.left_count:
-            raise InputError("order must rank the left side of a bipartite graph")
-        if not _is_matching_in(g, pairs):
-            return False
-        rank = order.ranks
-        for (u, v), (a, b) in combinations(pairs, 2):
-            if rank[u] < rank[a]:
-                if g.has_edge(u, b):
-                    return False
-            else:
-                if g.has_edge(a, v):
-                    return False
-        return True
-    if len(order) != g.vertex_count:
-        raise InputError("order must rank every vertex of a general graph")
-    if not _is_matching_in(g, pairs):
-        return False
-    rank = order.ranks
-    anchored = []
-    for x, y in pairs:
-        if rank[x] < rank[y]:
-            anchored.append((x, y))
-        else:
-            anchored.append((y, x))
-    for (m1, o1), (m2, o2) in combinations(anchored, 2):
-        if rank[m1] < rank[m2]:
-            lo, f_anchor, f_other = m1, m2, o2
-        else:
-            lo, f_anchor, f_other = m2, m1, o1
-        if g.has_edge(lo, f_anchor) or g.has_edge(lo, f_other):
-            return False
-    return True
+    """True iff m is a matching in g respecting the order, per the module
+    docstring."""
+    flat, pairs = _flat_pairs(g, m)
+    ranks = _flat_ranks(g, order)
+    return all(flat.has_edge(u, w) for u, w in pairs) and not any(
+        _edge_conflicts_semi(flat, pairs, ranks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +376,7 @@ def max_independent_set_bruteforce(g) -> tuple[int, frozenset]:
     Accepts a Graph or a BipartiteGraph (the latter is flattened first).
     Refuses graphs with more than caps.MAX_IS_VERTICES vertices.
     """
-    if isinstance(g, BipartiteGraph):
-        g = bipartite_to_graph(g)
+    g = _flat(g)
     if g.vertex_count > caps.MAX_IS_VERTICES:
         raise CapExceeded(
             f"independent-set oracle limited to {caps.MAX_IS_VERTICES} vertices, "
@@ -427,22 +391,37 @@ def max_independent_set_bruteforce(g) -> tuple[int, frozenset]:
 # induced / semi-induced matching oracles
 
 
-def _edge_conflicts_induced(g, edge_list):
-    """Conflict masks over edge indices: shared endpoint or a joining g-edge."""
+def _edge_conflicts_induced(g: Graph, edge_list):
+    """Conflict masks over indices of g-edges: edges conflict iff one meets
+    the closed neighbourhood N(u) | N(w) of the other, which covers a shared
+    endpoint as well as a joining g-edge."""
+    adj = g._adj
+    ends = [(1 << u) | (1 << w) for u, w in edge_list]
+    reach = [adj[u] | adj[w] for u, w in edge_list]
     k = len(edge_list)
     masks = [0] * k
-    bip = isinstance(g, BipartiteGraph)
     for i in range(k):
         for j in range(i + 1, k):
-            (u_i, w_i), (u_j, w_j) = edge_list[i], edge_list[j]
-            if bip:
-                clash = u_i == u_j or w_i == w_j or g.has_edge(u_i, w_j) or g.has_edge(u_j, w_i)
-            else:
-                shared = len({u_i, w_i} & {u_j, w_j}) > 0
-                clash = shared or any(
-                    g.has_edge(x, y) for x in (u_i, w_i) for y in (u_j, w_j)
-                )
-            if clash:
+            if reach[i] & ends[j]:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def _edge_conflicts_semi(g: Graph, edge_list, ranks):
+    """Conflict masks over indices of g-edges for fixed vertex ranks, per
+    the module docstring: edges conflict iff the earlier anchor is adjacent
+    to an end of the later edge.  A shared endpoint is such an adjacency."""
+    adj = g._adj
+    ends = [(1 << u) | (1 << w) for u, w in edge_list]
+    anchors = [u if ranks[u] < ranks[w] else w for u, w in edge_list]
+    anchor_ranks = [ranks[a] for a in anchors]
+    k = len(edge_list)
+    masks = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            early, late = (i, j) if anchor_ranks[i] < anchor_ranks[j] else (j, i)
+            if adj[anchors[early]] & ends[late]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -457,62 +436,28 @@ def _edge_cap_check(edge_list):
         )
 
 
-def _im_cap_check(g, edge_list):
-    n = g.left_count + g.right_count if isinstance(g, BipartiteGraph) else g.vertex_count
-    if n > caps.MAX_IS_VERTICES:
-        raise CapExceeded(
-            f"induced-matching oracle limited to {caps.MAX_IS_VERTICES} vertices, got {n}",
-            bound="MAX_IS_VERTICES",
-        )
-    _edge_cap_check(edge_list)
-
-
 def max_induced_matching_bruteforce(g) -> tuple[int, Matching]:
     """Exact maximum induced matching with a lexicographically least witness."""
+    flat = _flat(g)
+    if flat.vertex_count > caps.MAX_IS_VERTICES:
+        raise CapExceeded(
+            f"induced-matching oracle limited to {caps.MAX_IS_VERTICES} vertices, "
+            f"got {flat.vertex_count}",
+            bound="MAX_IS_VERTICES",
+        )
     edge_list = g.sorted_edges()
-    _im_cap_check(g, edge_list)
-    masks = _edge_conflicts_induced(g, edge_list)
+    _edge_cap_check(edge_list)
+    masks = _edge_conflicts_induced(flat, flat.sorted_edges())
     size, witness = _mis_lex_witness(masks, len(edge_list))
     m = Matching(edge_list[i] for i in witness)
     assert is_induced_matching(g, m)
     return size, m
 
 
-def _edge_conflicts_semi(g, edge_list, order: VertexOrder):
-    """Conflict masks for a fixed order, per the reading in the module docstring."""
-    k = len(edge_list)
-    rank = order.ranks
-    masks = [0] * k
-    bip = isinstance(g, BipartiteGraph)
-    for i in range(k):
-        for j in range(i + 1, k):
-            (u_i, w_i), (u_j, w_j) = edge_list[i], edge_list[j]
-            if bip:
-                if u_i == u_j or w_i == w_j:
-                    clash = True
-                elif rank[u_i] < rank[u_j]:
-                    clash = g.has_edge(u_i, w_j)
-                else:
-                    clash = g.has_edge(u_j, w_i)
-            else:
-                if {u_i, w_i} & {u_j, w_j}:
-                    clash = True
-                else:
-                    m_i = u_i if rank[u_i] < rank[w_i] else w_i
-                    m_j = u_j if rank[u_j] < rank[w_j] else w_j
-                    if rank[m_i] < rank[m_j]:
-                        clash = g.has_edge(m_i, u_j) or g.has_edge(m_i, w_j)
-                    else:
-                        clash = g.has_edge(m_j, u_i) or g.has_edge(m_j, w_i)
-            if clash:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
 def _order_exists_bipartite(g, chosen_pairs):
-    """A left sequence making chosen_pairs semi-induced (the Kahn order of
-    the precedence arcs, lefts in no arc left out), or None."""
+    """A left sequence making chosen_pairs (left, right) of the flattened
+    bipartite graph g semi-induced (the Kahn order of the precedence arcs,
+    lefts in no arc left out), or None."""
     arcs = set()
     for (u, v), (a, b) in combinations(chosen_pairs, 2):
         if g.has_edge(u, b):
@@ -590,60 +535,55 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     (size, matching, order); in "all" mode the returned order is a witness
     achieving the maximum.
     """
+    flat = _flat(g)
     edge_list = g.sorted_edges()
+    flat_edges = flat.sorted_edges()
     if isinstance(order, VertexOrder):
         # Fixed-order mode enumerates edge subsets, so only the edge cap
         # applies; vertex count is irrelevant to the search space.
         _edge_cap_check(edge_list)
-        masks = _edge_conflicts_semi(g, edge_list, order)
+        masks = _edge_conflicts_semi(flat, flat_edges, _flat_ranks(g, order))
         size, witness = _mis_lex_witness(masks, len(edge_list))
         m = Matching(edge_list[i] for i in witness)
         assert is_semi_induced_matching(g, order, m)
         return size, m, order
     if order != ALL_ORDERS:
         raise InputError("order must be a VertexOrder or the string 'all'")
-    bip = isinstance(g, BipartiteGraph)
-    n = g.left_count + g.right_count if bip else g.vertex_count
-    if n > caps.MAX_ALL_ORDER_VERTICES:
+    if flat.vertex_count > caps.MAX_ALL_ORDER_VERTICES:
         raise CapExceeded(
-            f"all-orders mode limited to {caps.MAX_ALL_ORDER_VERTICES} vertices, got {n}",
+            f"all-orders mode limited to {caps.MAX_ALL_ORDER_VERTICES} vertices, "
+            f"got {flat.vertex_count}",
             bound="MAX_ALL_ORDER_VERTICES",
         )
+    bip = isinstance(g, BipartiteGraph)
     order_for = _order_exists_bipartite if bip else _order_exists_general
-    # the order ranks the lefts of a bipartite graph; right w is tracked in
-    # `used` as left_count + w so both kinds share one vertex set
-    ranked = g.left_count if bip else g.vertex_count
-    right_offset = g.left_count if bip else 0
-
     best_pairs: list[tuple[int, int]] = []
 
     # Straightforward recursive enumeration in lexicographic edge order.
     # Adding an edge only adds order constraints, so an infeasible prefix
     # can be pruned: none of its extensions can become feasible.
-    def enumerate_from(start: int, pairs: list, used: set) -> None:
+    def enumerate_from(start: int, pairs: list, used: int) -> None:
         nonlocal best_pairs
         if len(pairs) > len(best_pairs):
             best_pairs = list(pairs)
-        for i in range(start, len(edge_list)):
-            u, w = edge_list[i]
-            w_key = right_offset + w
-            if u in used or w_key in used:
+        for i in range(start, len(flat_edges)):
+            u, w = flat_edges[i]
+            ends = (1 << u) | (1 << w)
+            if used & ends:
                 continue
             pairs.append((u, w))
-            if order_for(g, pairs) is not None:
-                used.add(u)
-                used.add(w_key)
-                enumerate_from(i + 1, pairs, used)
-                used.discard(u)
-                used.discard(w_key)
+            if order_for(flat, pairs) is not None:
+                enumerate_from(i + 1, pairs, used | ends)
             pairs.pop()
 
-    enumerate_from(0, [], set())
+    enumerate_from(0, [], 0)
 
-    m = Matching(best_pairs)
-    seq = order_for(g, best_pairs)
+    unflat = dict(zip(flat_edges, edge_list))
+    m = Matching(unflat[p] for p in best_pairs)
+    seq = order_for(flat, best_pairs)
     placed = set(seq)
-    seq.extend(v for v in range(ranked) if v not in placed)
+    # the order of a bipartite graph ranks its lefts only
+    seq.extend(v for v in range(g.left_count if bip else g.vertex_count) if v not in placed)
     witness_order = VertexOrder.from_sequence(seq)
     assert is_semi_induced_matching(g, witness_order, m)
     return len(best_pairs), m, witness_order

@@ -68,7 +68,7 @@ class PricingInstance:
     __slots__ = ("item_count", "groups", "k")
 
     def __init__(self, item_count: int, groups):
-        if not isinstance(item_count, int) or item_count < 1:
+        if not isinstance(item_count, int) or isinstance(item_count, bool) or item_count < 1:
             raise InputError(f"item_count must be a positive integer, got {item_count}")
         self.item_count = item_count
         self.groups = tuple(groups)
@@ -150,10 +150,6 @@ class PriceFunction:
             entries.append(value)
         self.prices = tuple(entries)
 
-    @classmethod
-    def uniform(cls, item_count: int, value) -> "PriceFunction":
-        return cls([value] * item_count)
-
     def __len__(self):
         return len(self.prices)
 
@@ -171,10 +167,6 @@ class PriceFunction:
 
     def __repr__(self):
         return "PriceFunction([" + ", ".join(format_price(p) for p in self.prices) + "])"
-
-    def lex_key(self):
-        """Sort key with INF greater than every finite price."""
-        return tuple((1, ZERO) if is_infinite(p) else (0, p) for p in self.prices)
 
     def to_json(self) -> dict:
         return {"prices": [format_price(p) for p in self.prices]}

@@ -248,6 +248,19 @@ MALFORMED_FILES = {
     "labels_float_index": labeled_pair([[0.9, "01"], [0, "10"]]),
     "labels_clause_index": labeled_pair([[7, "01"], [0, "10"]]),
     "labels_short_pattern": labeled_pair([[0, "10"], [0, "0"]]),
+    "graph_bool_endpoint": {"n": 3, "edges": [[0, True], [1, 2]]},
+    "bipartite_bool_side": {"left": True, "right": 2, "edges": [[0, 1]]},
+    "disperser_bool_endpoint": {
+        "left": 2, "right": 2, "edges": [[0, True], [1, 0]], "target_degree": 1,
+    },
+    "csp_bool_variable": {
+        "num_vars": 2, "clauses": [{"vars": [True, 0], "satisfying": ["01"]}],
+    },
+    "csp_bool_num_vars": {"num_vars": True, "clauses": []},
+    "pricing_bool_items": {
+        "items": True, "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "1", "multiplicity": "1"}],
+    },
 }
 
 REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
@@ -272,10 +285,26 @@ REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1
         (REPLACE + ["{labels_float_index}"], "[clause index, pattern] pairs"),
         (REPLACE + ["{labels_clause_index}"], "vertex 0: clause index 7 out of range"),
         (REPLACE + ["{labels_short_pattern}"], "vertex 1: '0' is not a satisfying pattern"),
+        (["graph", "cover", "--input", "{graph_bool_endpoint}"],
+         "edge (0, True) endpoints must be integers"),
+        (["solve", "matching", "--algo", "exact", "--input", "{graph_bool_endpoint}"],
+         "edge (0, True) endpoints must be integers"),
+        (["solve", "matching", "--algo", "exact", "--input", "{bipartite_bool_side}"],
+         "side sizes must be nonnegative integers, got True and 2"),
+        (["disperser", "verify", "--gamma", "1/2", "--input", "{disperser_bool_endpoint}"],
+         "edge (0, True) endpoints must be integers"),
+        (["csp", "fglss", "--input", "{csp_bool_variable}"], "bad variable True"),
+        (["csp", "fglss", "--input", "{csp_bool_num_vars}"],
+         "num_vars must be a nonnegative integer, got True"),
+        (["solve", "pricing", "--algo", "uniform", "--input", "{pricing_bool_items}"],
+         "item_count must be a positive integer, got True"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
-         "label-float-index", "label-clause-index", "label-short-pattern"],
+         "label-float-index", "label-clause-index", "label-short-pattern",
+         "graph-bool-endpoint-cover", "graph-bool-endpoint-solve", "bipartite-bool-side",
+         "disperser-bool-endpoint", "csp-bool-variable", "csp-bool-num-vars",
+         "pricing-bool-items"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
@@ -287,6 +316,20 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_lemma_without_samples_exits_two_without_traceback(tmp_path, samples):
+    disp = tmp_path / "disp.json"
+    disp.write_text(json.dumps(
+        {"left": 10, "right": 10, "edges": [[u, w] for u in range(10) for w in range(10)]}
+    ))
+    proc = run_cli("disperser", "check-lemma", "--input", str(disp), "--gamma", "1/4",
+                   "--samples", samples)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: samples must be at least 1")
+    assert proc.stdout == ""
 
 
 def test_non_integer_cap_override_exits_two_without_traceback():

@@ -236,6 +236,12 @@ def test_lemma_sampled_mode():
     assert report["ok"]
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_lemma_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(InputError, match="samples must be at least 1"):
+        check_disperser_lemma(complete_bipartite(10), Fraction(1, 4), samples=samples)
+
+
 def test_lemma_refuses_non_disperser():
     with pytest.raises(InputError):
         check_disperser_lemma(perfect_matching(4), Fraction(1, 4))

@@ -3,7 +3,8 @@
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: the depth-first "one incident edge or nothing" search for the
 general r-approximation classes, the all-orders enumeration with its
-per-kind feasibility tests, the pair-by-pair re-derivation of the edges
+per-kind feasibility tests, the matching checkers and conflict builders
+with one branch per graph kind, the pair-by-pair re-derivation of the edges
 disperser_replace keeps, the hand-written best-so-far loops of the
 pricing algorithms, the r-approximations and the max-sat oracle, and the
 Fraction revenue search that scored every candidate price vector with
@@ -31,13 +32,17 @@ from matchprice.csp_fglss import (
     variable_sides,
 )
 from matchprice.disperser import random_disperser
-from matchprice.errors import CapExceeded
+from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     ALL_ORDERS,
     BipartiteGraph,
     Graph,
     Matching,
     VertexOrder,
+    _mis_lex_witness,
+    is_induced_matching,
+    is_semi_induced_matching,
+    max_induced_matching_bruteforce,
     max_semi_induced_matching_bruteforce,
     random_bipartite,
     random_graph,
@@ -70,7 +75,7 @@ from matchprice.pricing import (
     scheme_breakpoints,
     uniform_price_approx,
 )
-from matchprice.rationals import INF
+from matchprice.rationals import INF, is_infinite
 
 # ---------------------------------------------------------------------------
 # general r-approximation classes: depth-first search per class
@@ -334,6 +339,249 @@ def test_all_orders_general_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# matching rules: one branch per graph kind in every checker and conflict
+# builder
+
+
+def ref_checked_pairs(g, m):
+    """Range-check matching endpoints against g; raises InputError."""
+    pairs = []
+    if isinstance(g, BipartiteGraph):
+        for u, w in m:
+            if not (0 <= u < g.left_count and 0 <= w < g.right_count):
+                raise InputError(f"matching edge ({u}, {w}) out of range")
+            pairs.append((u, w))
+    else:
+        for u, w in m:
+            if not (0 <= u < g.vertex_count and 0 <= w < g.vertex_count) or u == w:
+                raise InputError(f"matching edge ({u}, {w}) out of range")
+            pairs.append((u, w))
+    return pairs
+
+
+def ref_is_matching_in(g, pairs):
+    used = set()
+    for u, w in pairs:
+        if not g.has_edge(u, w):
+            return False
+    if isinstance(g, BipartiteGraph):
+        for u, w in pairs:
+            if ("L", u) in used or ("R", w) in used:
+                return False
+            used.add(("L", u))
+            used.add(("R", w))
+    else:
+        for u, w in pairs:
+            if u in used or w in used:
+                return False
+            used.add(u)
+            used.add(w)
+    return True
+
+
+def ref_is_induced_matching(g, m):
+    """True iff m is a matching in g and no g-edge joins two distinct m-edges."""
+    pairs = ref_checked_pairs(g, m)
+    if not ref_is_matching_in(g, pairs):
+        return False
+    bip = isinstance(g, BipartiteGraph)
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            if i == j:
+                continue
+            u_i, w_i = pairs[i]
+            u_j, w_j = pairs[j]
+            if bip:
+                if g.has_edge(u_i, w_j):
+                    return False
+            else:
+                if g.has_edge(u_i, u_j) or g.has_edge(u_i, w_j) or g.has_edge(w_i, w_j):
+                    return False
+    return True
+
+
+def ref_is_semi_induced_matching(g, order, m):
+    """True iff m is a matching in g respecting the order."""
+    pairs = ref_checked_pairs(g, m)
+    if isinstance(g, BipartiteGraph):
+        if len(order) != g.left_count:
+            raise InputError("order must rank the left side of a bipartite graph")
+        if not ref_is_matching_in(g, pairs):
+            return False
+        rank = order.ranks
+        for (u, v), (a, b) in combinations(pairs, 2):
+            if rank[u] < rank[a]:
+                if g.has_edge(u, b):
+                    return False
+            else:
+                if g.has_edge(a, v):
+                    return False
+        return True
+    if len(order) != g.vertex_count:
+        raise InputError("order must rank every vertex of a general graph")
+    if not ref_is_matching_in(g, pairs):
+        return False
+    rank = order.ranks
+    anchored = []
+    for x, y in pairs:
+        if rank[x] < rank[y]:
+            anchored.append((x, y))
+        else:
+            anchored.append((y, x))
+    for (m1, o1), (m2, o2) in combinations(anchored, 2):
+        if rank[m1] < rank[m2]:
+            lo, f_anchor, f_other = m1, m2, o2
+        else:
+            lo, f_anchor, f_other = m2, m1, o1
+        if g.has_edge(lo, f_anchor) or g.has_edge(lo, f_other):
+            return False
+    return True
+
+
+
+def ref_edge_conflicts_induced(g, edge_list):
+    """Conflict masks over edge indices: shared endpoint or a joining g-edge."""
+    k = len(edge_list)
+    masks = [0] * k
+    bip = isinstance(g, BipartiteGraph)
+    for i in range(k):
+        for j in range(i + 1, k):
+            (u_i, w_i), (u_j, w_j) = edge_list[i], edge_list[j]
+            if bip:
+                clash = u_i == u_j or w_i == w_j or g.has_edge(u_i, w_j) or g.has_edge(u_j, w_i)
+            else:
+                shared = len({u_i, w_i} & {u_j, w_j}) > 0
+                clash = shared or any(
+                    g.has_edge(x, y) for x in (u_i, w_i) for y in (u_j, w_j)
+                )
+            if clash:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def ref_edge_conflicts_semi(g, edge_list, order):
+    """Conflict masks for a fixed order."""
+    k = len(edge_list)
+    rank = order.ranks
+    masks = [0] * k
+    bip = isinstance(g, BipartiteGraph)
+    for i in range(k):
+        for j in range(i + 1, k):
+            (u_i, w_i), (u_j, w_j) = edge_list[i], edge_list[j]
+            if bip:
+                if u_i == u_j or w_i == w_j:
+                    clash = True
+                elif rank[u_i] < rank[u_j]:
+                    clash = g.has_edge(u_i, w_j)
+                else:
+                    clash = g.has_edge(u_j, w_i)
+            else:
+                if {u_i, w_i} & {u_j, w_j}:
+                    clash = True
+                else:
+                    m_i = u_i if rank[u_i] < rank[w_i] else w_i
+                    m_j = u_j if rank[u_j] < rank[w_j] else w_j
+                    if rank[m_i] < rank[m_j]:
+                        clash = g.has_edge(m_i, u_j) or g.has_edge(m_i, w_j)
+                    else:
+                        clash = g.has_edge(m_j, u_i) or g.has_edge(m_j, w_i)
+            if clash:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def rule_outcome(fn, *args):
+    """Return value, or the InputError's message."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def ref_induced_oracle(g):
+    edge_list = g.sorted_edges()
+    size, witness = _mis_lex_witness(ref_edge_conflicts_induced(g, edge_list), len(edge_list))
+    return size, Matching(edge_list[i] for i in witness)
+
+
+def ref_semi_oracle(g, order):
+    edge_list = g.sorted_edges()
+    size, witness = _mis_lex_witness(ref_edge_conflicts_semi(g, edge_list, order), len(edge_list))
+    return size, Matching(edge_list[i] for i in witness), order
+
+
+def random_order(rng, n):
+    seq = list(range(n))
+    rng.shuffle(seq)
+    return VertexOrder.from_sequence(seq)
+
+
+def random_pairs(rng, g, sides):
+    """Up to five pairs mixing edges, reversed edges, non-edges, repeats,
+    pairs sharing an endpoint with an earlier pair, and, rarely, an
+    endpoint one past its side."""
+    left, right = sides
+    edges = g.sorted_edges()
+    pairs = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if pairs and kind < 0.15:
+            pairs.append(rng.choice(pairs))
+        elif pairs and kind < 0.3:
+            u, w = rng.choice(pairs)
+            pairs.append((u, rng.randrange(right)) if rng.random() < 0.5 else (rng.randrange(left), w))
+        elif kind < 0.4:
+            pairs.append((rng.randrange(left), rng.randrange(right)))
+        elif kind < 0.45:
+            pairs.append((rng.randrange(left), right) if rng.random() < 0.5 else (-1, 0))
+        elif edges:
+            u, w = rng.choice(edges)
+            pairs.append((w, u) if rng.random() < 0.2 else (u, w))
+    return Matching(pairs)
+
+
+def assert_same_rules(rng, g, verdicts):
+    if isinstance(g, BipartiteGraph):
+        sides, ranked = (g.left_count, g.right_count), g.left_count
+    else:
+        sides, ranked = (g.vertex_count, g.vertex_count), g.vertex_count
+    for _ in range(12):
+        m = random_pairs(rng, g, sides)
+        expected = rule_outcome(ref_is_induced_matching, g, m)
+        assert rule_outcome(is_induced_matching, g, m) == expected, (g.to_json(), m)
+        verdicts.add(expected if isinstance(expected, bool) else expected.split()[0])
+        order = random_order(rng, ranked + rng.choice((0, 0, 0, -1, 1)))
+        expected = rule_outcome(ref_is_semi_induced_matching, g, order, m)
+        assert rule_outcome(is_semi_induced_matching, g, order, m) == expected, (g.to_json(), order, m)
+        verdicts.add(expected if isinstance(expected, bool) else expected.split()[0])
+
+    assert max_induced_matching_bruteforce(g) == ref_induced_oracle(g), g.to_json()
+    order = random_order(rng, ranked)
+    assert max_semi_induced_matching_bruteforce(g, order) == ref_semi_oracle(g, order), g.to_json()
+    size, m, witness_order = max_semi_induced_matching_bruteforce(g, ALL_ORDERS)
+    assert ref_is_semi_induced_matching(g, witness_order, m)
+    assert ref_semi_oracle(g, witness_order)[0] == size >= ref_semi_oracle(g, order)[0]
+
+
+def test_matching_rules_match_per_kind_branches():
+    rng = random.Random(54)
+    verdicts = set()
+    for n in range(2, 9):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(4):
+                assert_same_rules(rng, random_graph(n, p, seed=rng.randrange(10**6)), verdicts)
+    for left in range(1, 6):
+        for right in range(1, 6):
+            for p in (0.3, 0.5, 0.7):
+                assert_same_rules(rng, random_bipartite(left, right, p, seed=rng.randrange(10**6)),
+                                  verdicts)
+    # valid and invalid pair lists, out-of-range pairs and misshapen orders
+    assert verdicts == {True, False, "matching", "order"}
+
+
+# ---------------------------------------------------------------------------
 # disperser_replace: re-derive every kept disagreement edge pair by pair
 
 
@@ -402,6 +650,15 @@ def test_disperser_replace_matches_rederivation(amplified):
 # pricing: one best-so-far loop per algorithm
 
 
+def uniform_prices(item_count, value):
+    return PriceFunction([value] * item_count)
+
+
+def lex_key(p):
+    """Sort key with INF greater than every finite price."""
+    return tuple((1, ZERO) if is_infinite(x) else (0, x) for x in p.prices)
+
+
 def ref_opt_udp_bruteforce(inst):
     if inst.item_count > caps.MAX_UDP_ITEMS:
         raise CapExceeded(
@@ -438,9 +695,9 @@ def ref_opt_smp_bruteforce(inst):
             bound="MAX_SMP_ITEMS",
         )
     n = inst.item_count
-    best_prices = PriceFunction.uniform(n, ZERO)
+    best_prices = uniform_prices(n, ZERO)
     best_revenue = evaluate_revenue(inst, SMP, best_prices).revenue
-    best_key = best_prices.lex_key()
+    best_key = lex_key(best_prices)
     for mask in range(1, 1 << len(inst.groups)):
         winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
         objective = [ZERO] * n
@@ -458,7 +715,7 @@ def ref_opt_smp_bruteforce(inst):
         _, x = ratlp.maximize(objective, rows, bounds)
         p = PriceFunction(x)
         revenue = evaluate_revenue(inst, SMP, p).revenue
-        key = p.lex_key()
+        key = lex_key(p)
         if revenue > best_revenue or (revenue == best_revenue and key < best_key):
             best_revenue = revenue
             best_prices = p
@@ -470,12 +727,12 @@ def ref_uniform_price_approx(inst, rule):
     check_rule(rule)
     candidates = {g.budget for g in inst.groups}
     candidates.update(g.budget / len(g.bundle) for g in inst.groups)
-    best_prices = PriceFunction.uniform(inst.item_count, ZERO)
+    best_prices = uniform_prices(inst.item_count, ZERO)
     best_revenue = evaluate_revenue(inst, rule, best_prices).revenue
     for value in sorted(candidates):
         if value == 0:
             continue
-        p = PriceFunction.uniform(inst.item_count, value)
+        p = uniform_prices(inst.item_count, value)
         revenue = evaluate_revenue(inst, rule, p).revenue
         if revenue > best_revenue:
             best_revenue = revenue
