@@ -65,7 +65,7 @@ class CspInstance:
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
-        if isinstance(num_vars, bool) or num_vars < 0:
+        if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0:
             raise InputError(f"num_vars must be a nonnegative integer, got {num_vars!r}")
         self.num_vars = num_vars
         self.clauses = tuple(clauses)

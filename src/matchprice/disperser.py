@@ -14,7 +14,6 @@ left order.
 """
 
 from fractions import Fraction
-from itertools import combinations
 import math
 import random
 
@@ -23,6 +22,7 @@ from .errors import CapExceeded, InputError
 from .graphs import (
     BipartiteGraph,
     VertexOrder,
+    _sparse_left_set,
     balanced_bipartite_independence_bruteforce,
     bipartite_double_cover,
     bipartite_to_graph,
@@ -52,7 +52,9 @@ class DisperserGraph(BipartiteGraph):
 
     def __init__(self, left_count, right_count, edges, target_degree):
         super().__init__(left_count, right_count, edges)
-        self.target_degree = int(target_degree)
+        if not isinstance(target_degree, int) or isinstance(target_degree, bool):
+            raise InputError(f"target_degree must be an integer, got {target_degree!r}")
+        self.target_degree = target_degree
 
     def to_json(self) -> dict:
         obj = super().to_json()
@@ -118,16 +120,12 @@ def verify_disperser(g: BipartiteGraph, gamma):
             f"limit is {caps.MAX_VERIFY_SUBSETS}",
             bound="MAX_VERIFY_SUBSETS",
         )
-    full_right = (1 << n) - 1
-    for lefts in combinations(range(n), k):
-        covered = 0
-        for u in lefts:
-            covered |= g.left_mask(u)
-        uncovered = full_right & ~covered
-        if uncovered.bit_count() >= k:
-            rights = [w for w in range(n) if (uncovered >> w) & 1][:k]
-            return False, (lefts, tuple(rights))
-    return True, None
+    sparse = _sparse_left_set(g, k)
+    if sparse is None:
+        return True, None
+    lefts, uncovered = sparse
+    rights = [w for w in range(n) if (uncovered >> w) & 1][:k]
+    return False, (lefts, tuple(rights))
 
 
 def check_disperser_lemma(g: BipartiteGraph, gamma, seed: int = 0, samples: int = 50) -> dict:

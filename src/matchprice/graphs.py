@@ -100,7 +100,7 @@ class Graph:
 class BipartiteGraph:
     """Bipartite graph with sides 0..left-1 and 0..right-1; edges are (left, right)."""
 
-    __slots__ = ("left_count", "right_count", "edges", "_left_adj", "_right_adj")
+    __slots__ = ("left_count", "right_count", "edges", "_left_adj", "_right_adj", "_flat_graph")
 
     def __init__(self, left_count: int, right_count: int, edges):
         if any(isinstance(c, bool) or c < 0 for c in (left_count, right_count)):
@@ -124,6 +124,7 @@ class BipartiteGraph:
         self.edges = frozenset(seen)
         self._left_adj = tuple(left_adj)
         self._right_adj = tuple(right_adj)
+        self._flat_graph = None
 
     def has_edge(self, u: int, w: int) -> bool:
         return (self._left_adj[u] >> w) & 1 == 1
@@ -596,41 +597,33 @@ def max_expanding_sequence(bg: BipartiteGraph, cutoff: int) -> int:
     This equals the maximum over every left order of the semi-induced
     matching number, truncated at cutoff: ordering the matching by the rank
     of the left endpoints turns the order condition into exactly the
-    sequence condition.  Memoised on (used lefts, available rights).
+    sequence condition.
+
+    Taking u_i removes all of N(u_i) from the rights later edges may use,
+    whichever v_i it is matched to, so the rest depends only on the mask of
+    free rights: best(avail) is the max, over lefts u with N(u) & avail
+    nonempty, of 1 + best(avail & ~N(u)), memoised on avail.  A used left
+    has no free neighbour left, so it is never chosen twice.
     """
-    edge_list = bg.sorted_edges()
     if cutoff <= 0:
         return 0
-    full_right = (1 << bg.right_count) - 1
-    best = 0
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[int, int] = {}
 
-    def rec(used_left: int, avail_right: int, depth: int) -> None:
-        nonlocal best
-        if depth > best:
-            best = depth
-        if best >= cutoff:
-            return
-        key = (used_left, avail_right)
-        prior = memo.get(key)
-        if prior is not None and prior >= depth:
-            return
-        memo[key] = depth
-        for u, v in edge_list:
-            if (used_left >> u) & 1:
-                continue
-            if not (avail_right >> v) & 1:
-                continue
-            rec(
-                used_left | (1 << u),
-                avail_right & ~bg.left_mask(u) & ~(1 << v),
-                depth + 1,
-            )
-            if best >= cutoff:
-                return
+    def best(avail: int) -> int:
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        value = 0
+        for nbrs in bg._left_adj:
+            if nbrs & avail:
+                value = max(value, 1 + best(avail & ~nbrs))
+                if value >= cutoff:
+                    value = cutoff
+                    break
+        memo[avail] = value
+        return value
 
-    rec(0, full_right, 0)
-    return best
+    return best((1 << bg.right_count) - 1)
 
 
 def max_expanding_sequence_fixed(bg: BipartiteGraph, order: VertexOrder, cutoff: int) -> int:
@@ -692,9 +685,26 @@ def bipartite_double_cover(g: Graph, include_same_vertex_edges: bool = False) ->
 
 
 def bipartite_to_graph(bg: BipartiteGraph) -> Graph:
-    """Flatten: lefts keep their ids, right w becomes left_count + w."""
-    off = bg.left_count
-    return Graph(bg.left_count + bg.right_count, [(u, off + w) for u, w in bg.edges])
+    """Flatten: lefts keep their ids, right w becomes left_count + w.  Built
+    once per bg and shared, as both graphs are immutable."""
+    if bg._flat_graph is None:
+        off = bg.left_count
+        bg._flat_graph = Graph(bg.left_count + bg.right_count, [(u, off + w) for u, w in bg.edges])
+    return bg._flat_graph
+
+
+def _sparse_left_set(bg: BipartiteGraph, k: int) -> tuple[tuple[int, ...], int] | None:
+    """The first k-subset of lefts, in combinations order, leaving at least k
+    rights uncovered, with the uncovered right mask; None if there is none."""
+    full_right = (1 << bg.right_count) - 1
+    for lefts in combinations(range(bg.left_count), k):
+        covered = 0
+        for u in lefts:
+            covered |= bg.left_mask(u)
+        uncovered = full_right & ~covered
+        if uncovered.bit_count() >= k:
+            return lefts, uncovered
+    return None
 
 
 def balanced_bipartite_independence_bruteforce(bg: BipartiteGraph) -> int:
@@ -705,14 +715,9 @@ def balanced_bipartite_independence_bruteforce(bg: BipartiteGraph) -> int:
             f"balanced-independence oracle limited to {caps.MAX_BBIS_VERTICES} vertices, got {n}",
             bound="MAX_BBIS_VERTICES",
         )
-    full_right = (1 << bg.right_count) - 1
     for k in range(min(bg.left_count, bg.right_count), 0, -1):
-        for lefts in combinations(range(bg.left_count), k):
-            covered = 0
-            for u in lefts:
-                covered |= bg.left_mask(u)
-            if (full_right & ~covered).bit_count() >= k:
-                return k
+        if _sparse_left_set(bg, k) is not None:
+            return k
     return 0
 
 

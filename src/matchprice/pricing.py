@@ -55,8 +55,9 @@ class Group:
             raise InputError("bundle entries must be item indices")
         if self.budget < 0:
             raise InputError(f"budget must be nonnegative, got {self.budget}")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise InputError(f"multiplicity must be a positive integer, got {self.multiplicity}")
+        m = self.multiplicity
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise InputError(f"multiplicity must be a positive integer, got {m!r}")
 
     def sorted_bundle(self) -> list:
         return sorted(self.bundle)
@@ -116,6 +117,12 @@ def instance_to_json(inst: PricingInstance, rule: str) -> dict:
     }
 
 
+def _decimal(value):
+    """The int of a decimal string, the form instance_to_json writes counts
+    in; any other value as it is, for Group to check."""
+    return int(value) if isinstance(value, str) and value.isascii() and value.isdigit() else value
+
+
 def instance_from_json(obj: dict) -> tuple[PricingInstance, str]:
     try:
         items = obj["items"]
@@ -124,7 +131,7 @@ def instance_from_json(obj: dict) -> tuple[PricingInstance, str]:
             Group(
                 frozenset(g["bundle"]),
                 parse_rational(g["budget"]),
-                int(g["multiplicity"]),
+                _decimal(g["multiplicity"]),
             )
             for g in obj["groups"]
         ]

@@ -261,9 +261,28 @@ MALFORMED_FILES = {
         "items": True, "rule": "udp",
         "groups": [{"bundle": [0], "budget": "1", "multiplicity": "1"}],
     },
+    "csp_float_num_vars": {"num_vars": 2.5, "clauses": []},
+    "csp_whole_float_num_vars": {"num_vars": 3.0, "clauses": []},
+    "pricing_float_multiplicity": {
+        "items": 1, "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "3", "multiplicity": 2.5}],
+    },
+    "pricing_bool_multiplicity": {
+        "items": 1, "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "3", "multiplicity": True}],
+    },
+    "pricing_signed_multiplicity": {
+        "items": 1, "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "3", "multiplicity": "+2"}],
+    },
+    "disperser_float_degree": {
+        "left": 2, "right": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]], "target_degree": 2.9,
+    },
 }
 
 REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
+PIPELINE = ["pipeline", "run", "--t", "1", "--gamma", "1/3", "--d", "2", "--csp"]
+ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
 
 
 @pytest.mark.parametrize(
@@ -298,13 +317,26 @@ REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1
          "num_vars must be a nonnegative integer, got True"),
         (["solve", "pricing", "--algo", "uniform", "--input", "{pricing_bool_items}"],
          "item_count must be a positive integer, got True"),
+        (PIPELINE + ["{csp_float_num_vars}"], "num_vars must be a nonnegative integer, got 2.5"),
+        (PIPELINE + ["{csp_whole_float_num_vars}"],
+         "num_vars must be a nonnegative integer, got 3.0"),
+        (ORACLE + ["{pricing_float_multiplicity}"],
+         "multiplicity must be a positive integer, got 2.5"),
+        (ORACLE + ["{pricing_bool_multiplicity}"],
+         "multiplicity must be a positive integer, got True"),
+        (ORACLE + ["{pricing_signed_multiplicity}"],
+         "multiplicity must be a positive integer, got '+2'"),
+        (["disperser", "check-lemma", "--gamma", "1/2", "--input", "{disperser_float_degree}"],
+         "target_degree must be an integer, got 2.9"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
          "label-float-index", "label-clause-index", "label-short-pattern",
          "graph-bool-endpoint-cover", "graph-bool-endpoint-solve", "bipartite-bool-side",
          "disperser-bool-endpoint", "csp-bool-variable", "csp-bool-num-vars",
-         "pricing-bool-items"],
+         "pricing-bool-items", "csp-float-num-vars", "csp-whole-float-num-vars",
+         "pricing-float-multiplicity", "pricing-bool-multiplicity",
+         "pricing-signed-multiplicity", "disperser-float-degree"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}

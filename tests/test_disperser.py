@@ -154,6 +154,9 @@ def test_disperser_json_round_trip():
     back = load_graph_json(obj)
     assert isinstance(back, DisperserGraph)
     assert back == g and back.target_degree == 3
+    for degree in (2.9, True, "3"):
+        with pytest.raises(InputError, match="target_degree must be an integer"):
+            DisperserGraph(2, 2, [(0, 0)], degree)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,9 @@ def test_group_validation():
         Group(frozenset({0}), F(-1), 1)
     with pytest.raises(InputError):
         Group(frozenset({0}), F(1), 0)
+    for multiplicity in (True, 2.5, "2"):
+        with pytest.raises(InputError, match="multiplicity must be a positive integer"):
+            Group(frozenset({0}), F(1), multiplicity)
     with pytest.raises(InputError):
         PricingInstance(2, [Group(frozenset({5}), F(1), 1)])
     with pytest.raises(InputError):
