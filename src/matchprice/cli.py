@@ -395,6 +395,8 @@ def cmd_reduce(args) -> int:
 def cmd_pipeline(args) -> int:
     stages = {}
     instance = load_csp(args.csp)
+    if not instance.clauses:
+        raise InputError("the pipeline needs a CSP with at least one clause")
     stage = {"num_vars": instance.num_vars, "num_clauses": len(instance.clauses)}
     if instance.num_vars <= caps.MAX_SAT_VARS:
         value, _ = max_sat_bruteforce(instance)

@@ -1,6 +1,7 @@
-"""Boolean CSP instances, exhaustive satisfaction counting, clause-product
-amplification, the FGLSS conflict graph, and disperser-based sparsification
-of conflict edges.
+"""Boolean CSP instances, exhaustive satisfaction counting (bit-sliced over
+all assignments at once; the value and its lexicographically least witness
+are those of a scan in product order), clause-product amplification, the
+FGLSS conflict graph, and disperser-based sparsification of conflict edges.
 
 A clause is an ordered tuple of distinct variables plus the set of local
 assignments (pattern strings over that order) that satisfy it.  The FGLSS
@@ -24,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 
 from . import caps
 from .errors import CapExceeded, InputError
@@ -55,10 +55,6 @@ class Clause:
 
     def sorted_patterns(self) -> list[str]:
         return sorted(self.satisfying)
-
-    def is_satisfied_by(self, assignment) -> bool:
-        pat = "".join(str(assignment[v]) for v in self.variables)
-        return pat in self.satisfying
 
 
 class CspInstance:
@@ -111,18 +107,67 @@ class CspInstance:
 
 def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:
     """Exact maximum satisfiable clause count and the lexicographically
-    least optimal assignment.  Capped at caps.MAX_SAT_VARS variables."""
-    if instance.num_vars > caps.MAX_SAT_VARS:
+    least optimal assignment.  Capped at caps.MAX_SAT_VARS variables.
+
+    Every one of the 2^n assignments is scored, all at once: assignment i
+    (in product((0, 1), repeat=n) order, so variable 0 is the most
+    significant bit of i) is bit i of a 2^n-bit int.  Each clause becomes
+    the mask of the assignments satisfying it, the masks are summed in a
+    bit-sliced counter (plane j holds bit j of every assignment's score),
+    and the maximum is read from the top plane down.  The witness is the
+    lowest surviving bit, i.e. the first maximum in product order, the
+    same tie rule as a best-so-far scan.
+    """
+    n = instance.num_vars
+    if n > caps.MAX_SAT_VARS:
         raise CapExceeded(
             f"assignment enumeration limited to {caps.MAX_SAT_VARS} variables, "
-            f"got {instance.num_vars}",
+            f"got {n}",
             bound="MAX_SAT_VARS",
         )
-    scored = (
-        (sum(1 for c in instance.clauses if c.is_satisfied_by(bits)), bits)
-        for bits in product((0, 1), repeat=instance.num_vars)
-    )
-    return max(scored, key=itemgetter(0))
+    size = 1 << n
+    full = (1 << size) - 1
+    columns = [_truth_column(n - 1 - v, size) for v in range(n)]
+    planes: list[int] = []
+    for clause in instance.clauses:
+        carry = _satisfying_mask(clause, columns, full)
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    value, survivors = 0, full
+    for j in range(len(planes) - 1, -1, -1):
+        top = survivors & planes[j]
+        if top:
+            value |= 1 << j
+            survivors = top
+    first = (survivors & -survivors).bit_length() - 1
+    return value, tuple((first >> (n - 1 - v)) & 1 for v in range(n))
+
+
+def _truth_column(shift: int, size: int) -> int:
+    """The size-bit mask of the indices i with bit `shift` set, built by
+    doubling one period (2^shift zeros, then 2^shift ones) to full width."""
+    half = 1 << shift
+    column = ((1 << half) - 1) << half
+    width = 2 * half
+    while width < size:
+        column |= column << width
+        width *= 2
+    return column
+
+
+def _satisfying_mask(clause: Clause, columns: list[int], full: int) -> int:
+    mask = 0
+    for pat in clause.satisfying:
+        term = full
+        for v, bit in zip(clause.variables, pat):
+            term &= columns[v] if bit == "1" else full ^ columns[v]
+        mask |= term
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A (d, gamma)-disperser is an n x n bipartite graph of maximum degree at most
 d in which every pair of subsets X (left) and Y (right), each of size
 ceil(gamma*n), spans at least one edge.  Equivalently: for every X of that
 size, fewer than ceil(gamma*n) right vertices are uncovered by X; that is the
-form verify_disperser checks, enumerating only single subsets.
+form verify_disperser checks, searching only single left subsets (a pruned
+depth-first search that meets them in lexicographic order, so the first
+violation found is the lexicographically first one).
 
 Two structural consequences are checked by check_disperser_lemma: every
 independent set S of a verified disperser has min(|S cap left|, |S cap right|)
@@ -100,11 +102,13 @@ def random_disperser(n: int, d: int, seed: int) -> DisperserGraph:
 
 
 def verify_disperser(g: BipartiteGraph, gamma):
-    """Check the disperser property by enumerating left subsets.
+    """Check the disperser property by a pruned search over left subsets.
 
     Returns (True, None) or (False, (X, Y)) where X is the lexicographically
     first subset of size k = ceil(gamma*n) whose uncovered right set has size
-    >= k, and Y lists the first k uncovered right vertices.
+    >= k, and Y lists the first k uncovered right vertices.  Pruning only
+    skips subsets that cannot violate, so X and Y are those of a full scan;
+    the cap still counts all C(n, k) subsets.
     """
     gamma = _as_gamma(gamma)
     if g.left_count != g.right_count:

@@ -695,16 +695,36 @@ def bipartite_to_graph(bg: BipartiteGraph) -> Graph:
 
 def _sparse_left_set(bg: BipartiteGraph, k: int) -> tuple[tuple[int, ...], int] | None:
     """The first k-subset of lefts, in combinations order, leaving at least k
-    rights uncovered, with the uncovered right mask; None if there is none."""
-    full_right = (1 << bg.right_count) - 1
-    for lefts in combinations(range(bg.left_count), k):
-        covered = 0
-        for u in lefts:
-            covered |= bg.left_mask(u)
-        uncovered = full_right & ~covered
-        if uncovered.bit_count() >= k:
-            return lefts, uncovered
-    return None
+    rights uncovered, with the uncovered right mask; None if there is none.
+
+    Searched depth first, smallest left first, so subsets are met in
+    combinations order and the first hit is the same subset a full scan
+    would return.  A prefix whose uncovered set already has fewer than k
+    rights is cut, as adding lefts only shrinks that set; so is a prefix
+    with too few lefts after it to reach k.  The search keeps its own stack,
+    as k can exceed the recursion limit."""
+    masks = bg._left_adj
+    last_start = bg.left_count - k
+    chosen: list[int] = []
+    uncovered = [(1 << bg.right_count) - 1]  # uncovered[j]: rights chosen[:j] leave
+    if uncovered[0].bit_count() < k:
+        return None
+    u = 0  # next left to try at depth len(chosen)
+    while True:
+        depth = len(chosen)
+        if depth == k:
+            return tuple(chosen), uncovered[k]
+        if u <= last_start + depth:
+            rest = uncovered[depth] & ~masks[u]
+            if rest.bit_count() >= k:
+                chosen.append(u)
+                uncovered.append(rest)
+            u += 1
+        elif chosen:
+            u = chosen.pop() + 1
+            uncovered.pop()
+        else:
+            return None
 
 
 def balanced_bipartite_independence_bruteforce(bg: BipartiteGraph) -> int:

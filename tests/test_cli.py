@@ -263,6 +263,7 @@ MALFORMED_FILES = {
     },
     "csp_float_num_vars": {"num_vars": 2.5, "clauses": []},
     "csp_whole_float_num_vars": {"num_vars": 3.0, "clauses": []},
+    "csp_no_clauses": {"num_vars": 2, "clauses": []},
     "pricing_float_multiplicity": {
         "items": 1, "rule": "udp",
         "groups": [{"bundle": [0], "budget": "3", "multiplicity": 2.5}],
@@ -320,6 +321,7 @@ ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
         (PIPELINE + ["{csp_float_num_vars}"], "num_vars must be a nonnegative integer, got 2.5"),
         (PIPELINE + ["{csp_whole_float_num_vars}"],
          "num_vars must be a nonnegative integer, got 3.0"),
+        (PIPELINE + ["{csp_no_clauses}"], "the pipeline needs a CSP with at least one clause"),
         (ORACLE + ["{pricing_float_multiplicity}"],
          "multiplicity must be a positive integer, got 2.5"),
         (ORACLE + ["{pricing_bool_multiplicity}"],
@@ -335,7 +337,7 @@ ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
          "graph-bool-endpoint-cover", "graph-bool-endpoint-solve", "bipartite-bool-side",
          "disperser-bool-endpoint", "csp-bool-variable", "csp-bool-num-vars",
          "pricing-bool-items", "csp-float-num-vars", "csp-whole-float-num-vars",
-         "pricing-float-multiplicity", "pricing-bool-multiplicity",
+         "csp-no-clauses", "pricing-float-multiplicity", "pricing-bool-multiplicity",
          "pricing-signed-multiplicity", "disperser-float-degree"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):

@@ -37,6 +37,11 @@ def occurrences(instance, variable):
     return sum(1 for c in instance.clauses if variable in c.variables)
 
 
+def is_satisfied_by(clause, assignment):
+    pat = "".join(str(assignment[v]) for v in clause.variables)
+    return pat in clause.satisfying
+
+
 def max_arity(instance):
     return max((c.arity for c in instance.clauses), default=0)
 
@@ -55,7 +60,7 @@ def check_assignment(instance, assignment):
 def evaluate(instance, assignment):
     """Number of clauses the assignment satisfies."""
     assignment = check_assignment(instance, assignment)
-    return sum(1 for c in instance.clauses if c.is_satisfied_by(assignment))
+    return sum(1 for c in instance.clauses if is_satisfied_by(c, assignment))
 
 
 def is_balanced(instance):

@@ -9,14 +9,16 @@ disperser_replace keeps, the hand-written best-so-far loops of the
 pricing algorithms, the r-approximations and the max-sat oracle, the
 Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
-rights), and the left-subset loops of verify_disperser and the
-balanced-independence oracle.  The engines must return the same values and the same
+rights), the left-subset loops of verify_disperser and the
+balanced-independence oracle, and the unpruned combinations scan both of
+them came to share.  The engines must return the same values and the same
 witnesses on every seeded input, and refuse the same inputs.
 """
 
 import heapq
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
@@ -25,8 +27,10 @@ import pytest
 
 from matchprice import caps, pricing, ratlp
 from matchprice.csp_fglss import (
+    Clause,
     CspInstance,
     disperser_replace,
+    duplicate_clauses,
     fglss_build,
     gap_amplify,
     max_sat_bruteforce,
@@ -43,6 +47,7 @@ from matchprice.graphs import (
     Matching,
     VertexOrder,
     _mis_lex_witness,
+    _sparse_left_set,
     balanced_bipartite_independence_bruteforce,
     bipartite_double_cover,
     bipartite_to_graph,
@@ -939,6 +944,11 @@ def ref_approx_induced_matching_general(g, r):
     return best_size, best_m
 
 
+def ref_is_satisfied_by(clause, assignment):
+    pat = "".join(str(assignment[v]) for v in clause.variables)
+    return pat in clause.satisfying
+
+
 def ref_max_sat_bruteforce(instance):
     if instance.num_vars > caps.MAX_SAT_VARS:
         raise CapExceeded(
@@ -949,7 +959,7 @@ def ref_max_sat_bruteforce(instance):
     best = -1
     best_assignment = ()
     for bits in product((0, 1), repeat=instance.num_vars):
-        score = sum(1 for c in instance.clauses if c.is_satisfied_by(bits))
+        score = sum(1 for c in instance.clauses if ref_is_satisfied_by(c, bits))
         if score > best:
             best = score
             best_assignment = bits
@@ -981,22 +991,52 @@ def test_approximations_match_best_so_far_loops(monkeypatch):
 
 
 def test_max_sat_matches_best_so_far_loop(monkeypatch):
-    monkeypatch.setattr(caps, "MAX_SAT_VARS", 7)
+    monkeypatch.setattr(caps, "MAX_SAT_VARS", 12)
     rng = random.Random(20132)
-    corpus = [CspInstance(0, [])]
-    for num_vars in range(1, 9):
-        for _ in range(12):
+    always = Clause((), {""})
+    never = Clause((0,), set())
+    corpus = [CspInstance(0, []), CspInstance(0, [always] * 3), CspInstance(5, []),
+              CspInstance(13, [])]
+    for num_vars in range(1, 14):
+        for _ in range(12 if num_vars <= 8 else 3):
             arity = rng.randint(1, min(num_vars, 3))
             corpus.append(random_csp(num_vars, rng.randint(1, 6), arity, rng.randrange(10**6)))
+    # 32 to 40 clauses: six counter planes, and carries through all of them
+    for num_vars in (3, 7, 12):
+        for _ in range(2):
+            arity = rng.randint(1, min(num_vars, 3))
+            base = random_csp(num_vars, rng.randint(32, 40), arity, rng.randrange(10**6))
+            corpus.append(base)
+            mixed = list(random_csp(num_vars, 10, arity, rng.randrange(10**6)).clauses)
+            mixed += [always] * 26 + [never] * 2
+            rng.shuffle(mixed)
+            corpus.append(CspInstance(num_vars, mixed))
+        corpus.append(duplicate_clauses(random_csp(num_vars, 8, 1, rng.randrange(10**6)), 5))
+    values = []
     for instance in corpus:
         expected = outcome(ref_max_sat_bruteforce, instance)
         assert outcome(max_sat_bruteforce, instance) == expected, instance.to_json()
+        values.append(expected[0])
+    assert "refused" in values and max(v for v in values if v != "refused") >= 32
+
+
+def test_max_sat_at_its_cap_in_closed_form():
+    """Unit clauses x_i and not x_i for every variable, and x_i once more for
+    odd i: odd variables must be 1, even ones tie and take 0 in the
+    lexicographically least optimum."""
+    n = caps.MAX_SAT_VARS
+    clauses = [Clause((i,), {"1"}) for i in range(n)] + [Clause((i,), {"0"}) for i in range(n)]
+    clauses += [Clause((i,), {"1"}) for i in range(1, n, 2)]
+    assert max_sat_bruteforce(CspInstance(n, clauses)) == (
+        n + n // 2, tuple(i % 2 for i in range(n))
+    )
 
 
 # ---------------------------------------------------------------------------
 # disperser layer: the expanding-sequence search over (used lefts, free
-# rights) with a best-so-far depth memo, and the left-subset loops of
-# verify_disperser and the balanced-independence oracle
+# rights) with a best-so-far depth memo, the left-subset loops of
+# verify_disperser and the balanced-independence oracle, and their shared
+# unpruned scan
 
 
 def ref_max_expanding_sequence(bg, cutoff):
@@ -1048,6 +1088,18 @@ def ref_verify_disperser(g, gamma):
             rights = [w for w in range(n) if (uncovered >> w) & 1][:k]
             return False, (lefts, tuple(rights))
     return True, None
+
+
+def ref_sparse_left_set(bg, k):
+    full_right = (1 << bg.right_count) - 1
+    for lefts in combinations(range(bg.left_count), k):
+        covered = 0
+        for u in lefts:
+            covered |= bg.left_mask(u)
+        uncovered = full_right & ~covered
+        if uncovered.bit_count() >= k:
+            return lefts, uncovered
+    return None
 
 
 def ref_balanced_bipartite_independence(bg):
@@ -1123,3 +1175,42 @@ def test_left_subset_scan_matches_per_caller_loops():
     for bg in small_bipartite_corpus(rng):
         bbis = ref_balanced_bipartite_independence(bg)
         assert balanced_bipartite_independence_bruteforce(bg) == bbis, bg.to_json()
+        for k in range(bg.left_count + 2):
+            assert _sparse_left_set(bg, k) == ref_sparse_left_set(bg, k), (bg.to_json(), k)
+    # larger dispersers, where whole prefixes are cut before depth k
+    verdicts = {True: 0, False: 0}
+    for n in (12, 13, 14):
+        for d in range(1, 7):
+            for seed in range(2):
+                g = random_disperser(n, d, seed)
+                for gamma in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                    expected = ref_verify_disperser(g, gamma)
+                    assert verify_disperser(g, gamma) == expected, (g.to_json(), gamma)
+                    verdicts[expected[0]] += 1
+    assert min(verdicts.values()) > 30, verdicts
+
+
+class CountingMasks(tuple):
+    """A left-mask table that counts how often the search reads it."""
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_left_subset_search_cuts_prefixes_that_cannot_reach_k():
+    """Every left covers the same n - k + 1 rights, so each single left
+    already leaves only k - 1 uncovered: the search reads the n - k + 1
+    first-level masks and nothing below them."""
+    n, k = 12, 4
+    bg = BipartiteGraph(n, n, [(u, w) for u in range(n) for w in range(n - k + 1)])
+    bg._left_adj = masks = CountingMasks(bg._left_adj)
+    masks.reads = 0
+    assert _sparse_left_set(bg, k) is None
+    assert masks.reads == n - k + 1
+
+
+def test_left_subset_search_runs_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    hit = _sparse_left_set(BipartiteGraph(n, n, []), n - 1)
+    assert hit == (tuple(range(n - 1)), (1 << n) - 1)
