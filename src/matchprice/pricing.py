@@ -316,6 +316,11 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     set, so the maximum over W of the realized revenue is exact.  Realized
     revenue can exceed a subset's LP value when outsiders happen to afford
     their bundles, which only helps.
+
+    Every budget is scaled once by the lcm of the budget denominators, so
+    each LP gets int objective, 0/1 int rows and int bounds; scaling every
+    bound by one factor scales the vertex without changing a pivot, and
+    the vertex prices are divided back.
     """
     if len(inst.groups) > caps.MAX_SMP_GROUPS:
         raise CapExceeded(
@@ -328,28 +333,26 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             bound="MAX_SMP_ITEMS",
         )
     n = inst.item_count
+    scale = math.lcm(*(g.budget.denominator for g in inst.groups))
+    budgets = [g.budget.numerator * (scale // g.budget.denominator) for g in inst.groups]
+    rows = [[int(i in g.bundle) for i in range(n)] for g in inst.groups]
     vertices = {(ZERO,) * n}
     for mask in range(1, 1 << len(inst.groups)):
-        winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
-        objective = [ZERO] * n
-        for g in winners:
+        winners = [j for j in range(len(inst.groups)) if (mask >> j) & 1]
+        objective = [0] * n
+        for j in winners:
+            g = inst.groups[j]
             for i in g.bundle:
                 objective[i] += g.multiplicity
-        rows = []
-        bounds = []
-        for g in winners:
-            row = [ZERO] * n
-            for i in g.bundle:
-                row[i] = Fraction(1)
-            rows.append(row)
-            bounds.append(g.budget)
-        _, x = ratlp.maximize(objective, rows, bounds)
+        _, x = ratlp.maximize(objective, [rows[j] for j in winners], [budgets[j] for j in winners])
         vertices.add(tuple(x))
+    # The vertices stay scaled until here: one positive factor changes
+    # neither their distinctness nor their order.
     values = sorted({v for x in vertices for v in x})
     index = {v: i for i, v in enumerate(values)}
     # Ascending tuple order, so a tie goes to the lexicographically least vertex.
     vectors = (tuple(index[v] for v in x) for x in sorted(vertices))
-    return _best_prices(inst, SMP, values, vectors)
+    return _best_prices(inst, SMP, [v / scale for v in values], vectors)
 
 
 # ---------------------------------------------------------------------------

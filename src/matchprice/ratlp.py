@@ -1,27 +1,54 @@
-"""Exact linear maximization over {x >= 0 : Ax <= b} in Fraction arithmetic.
+"""Exact linear maximization over {x >= 0 : Ax <= b}, pivoting in integers.
 
 Dense tableau simplex with Bland's rule, which cannot cycle, so termination
-is guaranteed.  Sized for the winner-subset pricing oracle: a handful of
-variables and constraints, where exactness matters and speed does not.
+is guaranteed.  Sized for the winner-subset pricing oracle, which solves
+one small program (a handful of variables and constraints) per subset.
+
+The tableau holds only ints.  Each constraint row is scaled together with
+its bound by the lcm of their denominators, and the objective by its own
+lcm; the slack columns stay the identity.  Pivots then follow the
+integer-preserving (fraction-free) elimination of E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968): the integer tableau is d times the
+rational one, where d is the previous pivot (1 at the start), and the
+update T[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // d divides exactly.
+
+Every pivot is the one Bland's rule takes on the unscaled program.  Scaling
+a row by a positive factor leaves its ratios b_i / a_ie unchanged.  Keeping
+its slack column the identity rescales that slack variable, which
+multiplies the slack's reduced cost, and every ratio in its column, by one
+positive factor; scaling the objective multiplies every reduced cost by
+one.  And d > 0 throughout, so the integer entries have the signs of the
+rational ones.  Hence the signs of the reduced costs, the order of the
+ratios (compared by cross-multiplication) and the ties among them are the
+same, and so are the entering column, the leaving row and the vertex
+returned.  Fractions are built only for that vertex and its value.
 """
 
 from fractions import Fraction
+import math
 
 from .errors import InputError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """(s, values times s) for s the lcm of their denominators; ints or Fractions."""
+    scale = math.lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return 1, [v.numerator for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
     """Maximize objective . x subject to rows[i] . x <= bounds[i], x >= 0.
 
-    All bounds must be nonnegative (the origin is then a feasible basis and
-    no phase-1 is needed).  Returns (optimal value, an optimal vertex x).
-    Raises InputError on malformed input or an unbounded program.
+    Entries are ints or Fractions.  All bounds must be nonnegative (the
+    origin is then a feasible basis and no phase-1 is needed).  Returns
+    (optimal value, an optimal vertex x), all Fractions.  Raises InputError
+    on malformed input or an unbounded program.
     """
-    objective = [Fraction(v) for v in objective]
-    bounds = [Fraction(v) for v in bounds]
     n = len(objective)
     m = len(rows)
     if len(bounds) != m:
@@ -32,41 +59,52 @@ def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
     # Columns: n originals, m slacks, then the right-hand side.
     tableau = []
     for i, row in enumerate(rows):
-        row = [Fraction(v) for v in row]
         if len(row) != n:
             raise InputError(f"constraint row {i} has {len(row)} coefficients, want {n}")
-        slack = [ONE if j == i else ZERO for j in range(m)]
-        tableau.append(row + slack + [bounds[i]])
-    # Reduced-cost row; its rhs entry accumulates -(objective value).
-    cost = objective + [ZERO] * (m + 1)
+        _, scaled = _scaled([*row, bounds[i]])
+        slack = [0] * m
+        slack[i] = 1
+        tableau.append(scaled[:n] + slack + scaled[n:])
+    # Reduced-cost row; its rhs entry accumulates -(objective value), both
+    # times objective_scale and the current d.
+    objective_scale, cost = _scaled(objective)
+    cost += [0] * (m + 1)
     basis = [n + i for i in range(m)]
+    d = 1
 
     while True:
         entering = next((j for j in range(n + m) if cost[j] > 0), None)
         if entering is None:
             break
-        candidates = [
-            (tableau[i][-1] / tableau[i][entering], basis[i], i)
-            for i in range(m)
-            if tableau[i][entering] > 0
-        ]
-        if not candidates:
-            raise InputError("linear program is unbounded")
-        _, _, r = min(candidates)  # least ratio, then least basis index (Bland)
-
-        pivot = tableau[r][entering]
-        tableau[r] = [v / pivot for v in tableau[r]]
+        # Least ratio rhs / column entry, then least basis index (Bland).
+        r = None
         for i in range(m):
-            if i != r and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[r])]
-        if cost[entering] != 0:
-            factor = cost[entering]
-            cost = [a - factor * b for a, b in zip(cost, tableau[r])]
+            a = tableau[i][entering]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs = tableau[i][-1] * tableau[r][entering]
+                rhs = tableau[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            raise InputError("linear program is unbounded")
+
+        pivot_row = tableau[r]
+        p = pivot_row[entering]
+        for i in range(m):
+            row = tableau[i]
+            f = row[entering]
+            if i != r and (f or p != d):
+                tableau[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        f = cost[entering]
+        cost = [(a * p - f * b) // d for a, b in zip(cost, pivot_row)]
         basis[r] = entering
+        d = p
 
     x = [ZERO] * n
     for i, variable in enumerate(basis):
         if variable < n:
-            x[variable] = tableau[i][-1]
-    return -cost[-1], x
+            x[variable] = Fraction(tableau[i][-1], d)
+    return Fraction(-cost[-1], d * objective_scale), x

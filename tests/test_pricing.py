@@ -225,6 +225,33 @@ def test_lp_degenerate_and_zero():
     assert value == 0
 
 
+def test_lp_ratio_ties_go_to_the_least_basis_index():
+    # x0 enters first and takes row 1.  x2 enters next, and rows 0 and 1 tie
+    # at ratio 1; Bland's rule takes row 1, whose basic x0 precedes row 0's
+    # slack.  Taking the first tied row instead ends on the other optimum
+    # (0, 1, 0, 1).  Halving row 0 must not break the tie.
+    value, x = ratlp.maximize([1, 0, 2, 3], [[0, 1, 1, 0], [1, 0, 1, 1]], [1, 1])
+    assert value == 3 and x == [0, 0, 0, 1]
+    half = F(1, 2)
+    value, x = ratlp.maximize([1, 0, 2, 3], [[0, half, half, 0], [1, 0, 1, 1]], [half, 1])
+    assert value == 3 and x == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("number", [int, F])
+def test_lp_returns_fractions(number):
+    """Value and every vertex entry are Fractions, the nonbasic zeros too, so
+    dividing them by an int scale stays exact."""
+    for objective, rows, bounds, want in [
+        ([1, 0, 1], [[1, 1, 0], [0, 1, 1]], [2, 3], (5, [2, 0, 3])),  # x1 nonbasic
+        ([0, 0], [[1, 1]], [5], (0, [0, 0])),  # no pivot at all
+        ([2, 1], [[1, 1]], [3], (6, [3, 0])),
+    ]:
+        rows = [list(map(number, row)) for row in rows]
+        value, x = ratlp.maximize(list(map(number, objective)), rows, list(map(number, bounds)))
+        assert (value, x) == want
+        assert type(value) is F and all(type(v) is F and type(v / 3) is F for v in x), (value, x)
+
+
 def test_lp_unbounded():
     with pytest.raises(InputError):
         ratlp.maximize([1], [], [])

@@ -10,9 +10,10 @@ pricing algorithms, the r-approximations and the max-sat oracle, the
 Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
 rights), the left-subset loops of verify_disperser and the
-balanced-independence oracle, and the unpruned combinations scan both of
-them came to share.  The engines must return the same values and the same
-witnesses on every seeded input, and refuse the same inputs.
+balanced-independence oracle, the unpruned combinations scan both of
+them came to share, and the Fraction tableau simplex behind the SMP oracle.
+The engines must return the same values and the same witnesses on every
+seeded input, and refuse the same inputs.
 """
 
 import heapq
@@ -659,6 +660,161 @@ def test_disperser_replace_matches_rederivation(amplified):
 
 
 # ---------------------------------------------------------------------------
+# pricing: the Fraction simplex the integer tableau replaced
+
+ONE = Fraction(1)
+
+
+def ref_maximize(objective, rows, bounds):
+    objective = [Fraction(v) for v in objective]
+    bounds = [Fraction(v) for v in bounds]
+    n = len(objective)
+    m = len(rows)
+    if len(bounds) != m:
+        raise InputError(f"{m} constraint rows but {len(bounds)} bounds")
+    if any(b < 0 for b in bounds):
+        raise InputError("bounds must be nonnegative for the slack-basis start")
+
+    # Columns: n originals, m slacks, then the right-hand side.
+    tableau = []
+    for i, row in enumerate(rows):
+        row = [Fraction(v) for v in row]
+        if len(row) != n:
+            raise InputError(f"constraint row {i} has {len(row)} coefficients, want {n}")
+        slack = [ONE if j == i else ZERO for j in range(m)]
+        tableau.append(row + slack + [bounds[i]])
+    # Reduced-cost row; its rhs entry accumulates -(objective value).
+    cost = objective + [ZERO] * (m + 1)
+    basis = [n + i for i in range(m)]
+
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] > 0), None)
+        if entering is None:
+            break
+        candidates = [
+            (tableau[i][-1] / tableau[i][entering], basis[i], i)
+            for i in range(m)
+            if tableau[i][entering] > 0
+        ]
+        if not candidates:
+            raise InputError("linear program is unbounded")
+        _, _, r = min(candidates)  # least ratio, then least basis index (Bland)
+
+        pivot = tableau[r][entering]
+        tableau[r] = [v / pivot for v in tableau[r]]
+        for i in range(m):
+            if i != r and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[r])]
+        if cost[entering] != 0:
+            factor = cost[entering]
+            cost = [a - factor * b for a, b in zip(cost, tableau[r])]
+        basis[r] = entering
+
+    x = [ZERO] * n
+    for i, variable in enumerate(basis):
+        if variable < n:
+            x[variable] = tableau[i][-1]
+    return -cost[-1], x
+
+
+def typed_outcome(fn, *args):
+    """outcome() with the type of every number, so an int 0 is not a Fraction 0."""
+    try:
+        value, x = fn(*args)
+    except InputError as e:
+        return "refused", str(e)
+    return [(type(v), v) for v in (value, *x)]
+
+
+def random_lp(rng):
+    """At most 5 variables and 5 rows: zero, negative and rational
+    coefficients, zero bounds, and now and then a negative bound or a short
+    row, so some programs are unbounded and some malformed."""
+
+    def coefficient():
+        return rng.choice((0, 0, 1, rng.randint(-3, 4), Fraction(rng.randint(-5, 9), rng.choice((2, 3, 4, 9)))))
+
+    n = rng.randint(1, 5)
+    m = rng.randint(0, 5)
+    objective = [coefficient() for _ in range(n)]
+    rows = [[coefficient() for _ in range(n - (rng.random() < 0.01))] for _ in range(m)]
+    bounds = [rng.choice((0, 0, 1, 2, Fraction(1, 2), Fraction(7, 3), rng.randint(-1, 5))) for _ in range(m)]
+    return objective, rows, bounds
+
+
+def test_integer_simplex_matches_fraction_simplex():
+    rng = random.Random(4100)
+    kinds = {}
+    for _ in range(2000):
+        lp = random_lp(rng)
+        expected = typed_outcome(ref_maximize, *lp)
+        assert typed_outcome(ratlp.maximize, *lp) == expected, lp
+        kind = expected[1] if expected[0] == "refused" else "solved"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["solved"] > 500 and kinds["linear program is unbounded"] > 100
+    assert kinds["bounds must be nonnegative for the slack-basis start"] > 0
+    assert any(kind.startswith("constraint row") for kind in kinds)
+
+
+def smp_vertex_instance(rng):
+    """At most 6 items and 8 groups; budgets over one denominator up to 729
+    with zeros and repeats, and repeated groups."""
+    n = rng.randint(1, 6)
+    d = rng.choice((1, 2, 3, 9, 27, 81, 243, 729))
+    pool = (ZERO, ZERO, ONE, Fraction(rng.randint(1, 30), d), Fraction(rng.randint(1, 30), d))
+    groups = []
+    for _ in range(rng.randint(1, 8)):
+        if groups and rng.random() < 0.15:
+            groups.append(groups[-1])
+        else:
+            bundle = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            groups.append(Group(bundle, rng.choice(pool), rng.randint(1, 3)))
+    return PricingInstance(n, groups)
+
+
+def ref_winner_vertices(inst):
+    """The Fraction simplex's vertex for each winner subset, in mask order."""
+    n = inst.item_count
+    vertices = []
+    for mask in range(1, 1 << len(inst.groups)):
+        winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
+        objective = [ZERO] * n
+        for g in winners:
+            for i in g.bundle:
+                objective[i] += g.multiplicity
+        rows = [[ONE if i in g.bundle else ZERO for i in range(n)] for g in winners]
+        vertices.append(ref_maximize(objective, rows, [g.budget for g in winners])[1])
+    return vertices
+
+
+def test_smp_oracle_vertices_match_fraction_simplex(monkeypatch):
+    """The oracle hands maximize budgets scaled by the lcm of their
+    denominators; each returned vertex, divided back, is the Fraction
+    simplex's vertex on the unscaled program."""
+    calls = []
+    maximize = ratlp.maximize
+
+    def recording_maximize(objective, rows, bounds):
+        assert all(type(v) is int for v in (*objective, *bounds, *(a for row in rows for a in row)))
+        value, x = maximize(objective, rows, bounds)
+        calls.append(x)
+        return value, x
+
+    monkeypatch.setattr(ratlp, "maximize", recording_maximize)
+    rng = random.Random(4200)
+    lps = 0
+    for _ in range(40):
+        inst = smp_vertex_instance(rng)
+        calls.clear()
+        opt_smp_bruteforce(inst)
+        scale = math.lcm(*(g.budget.denominator for g in inst.groups))
+        assert [[v / scale for v in x] for x in calls] == ref_winner_vertices(inst), inst.groups
+        lps += len(calls)
+    assert lps > 1000
+
+
+# ---------------------------------------------------------------------------
 # pricing: one best-so-far loop per algorithm
 
 
@@ -706,25 +862,10 @@ def ref_opt_smp_bruteforce(inst):
             f"SMP oracle limited to {caps.MAX_SMP_ITEMS} items, got {inst.item_count}",
             bound="MAX_SMP_ITEMS",
         )
-    n = inst.item_count
-    best_prices = uniform_prices(n, ZERO)
+    best_prices = uniform_prices(inst.item_count, ZERO)
     best_revenue = evaluate_revenue(inst, SMP, best_prices).revenue
     best_key = lex_key(best_prices)
-    for mask in range(1, 1 << len(inst.groups)):
-        winners = [g for j, g in enumerate(inst.groups) if (mask >> j) & 1]
-        objective = [ZERO] * n
-        for g in winners:
-            for i in g.bundle:
-                objective[i] += g.multiplicity
-        rows = []
-        bounds = []
-        for g in winners:
-            row = [ZERO] * n
-            for i in g.bundle:
-                row[i] = Fraction(1)
-            rows.append(row)
-            bounds.append(g.budget)
-        _, x = ratlp.maximize(objective, rows, bounds)
+    for x in ref_winner_vertices(inst):
         p = PriceFunction(x)
         revenue = evaluate_revenue(inst, SMP, p).revenue
         key = lex_key(p)
