@@ -10,14 +10,17 @@ duplicate consumers.
 All money is fractions.Fraction at every API and JSON boundary.  The INF
 sentinel ("never sold") is legal only under UDP.  Every algorithm returns
 (revenue, PriceFunction) with the revenue exactly equal to evaluate_revenue
-of the returned prices.  Internally the candidate search scores each price
-vector in scaled integers over one common denominator, which is exact
-because every algorithm draws its prices from a finite list of rationals.
+of the returned prices.  Internally every algorithm draws its prices from a
+finite list of rationals and scores in scaled integers over one common
+denominator, which is exact.  Candidate lists (the uniform price, the SMP
+oracle's LP vertices) are scored one vector at a time; the full product of
+a value list (geometric enumeration, the UDP oracle) is searched depth
+first with branch-and-bound, which returns the same maximum and the same
+first maximizer in product order as scoring every vector.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 import math
 from operator import itemgetter
 
@@ -240,18 +243,15 @@ def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> Sale
     return SaleReport(tuple(sales), revenue)
 
 
-def _best_prices(inst: PricingInstance, rule: str, values, vectors) -> tuple[Fraction, PriceFunction]:
-    """The best candidate price vector, as (revenue, PriceFunction).
+def _scaled(inst: PricingInstance, rule: str, values) -> tuple[int, list, list, int]:
+    """(scale, groups, scaled values, never): the int form every candidate
+    search scores in.
 
-    values lists the prices the candidates draw from (INF only under UDP);
-    each vector is a tuple of indices into it, one per item.  Every budget
-    and finite value is scaled by the lcm of their denominators, so each
-    vector is scored in exact int arithmetic and only the winner becomes a
-    Fraction and a PriceFunction.  INF scales to a price above every
-    budget, which nobody buys.
-
-    Ties go to the vector listed first (strict >), so each caller states
-    its tie rule by the order of its candidates.
+    values lists the prices the candidates draw from (INF only under UDP).
+    scale is the lcm of the denominators of every budget and finite value;
+    groups holds (bundle, budget, multiplicity) with the budget times scale,
+    and scaled holds each value times scale.  INF scales to `never`, one
+    above every scaled budget, which nobody buys.
     """
     finite = [v for v in values if not is_infinite(v)]
     if rule == SMP and len(finite) < len(values):
@@ -266,6 +266,22 @@ def _best_prices(inst: PricingInstance, rule: str, values, vectors) -> tuple[Fra
     ]
     never = 1 + max((budget for _, budget, _ in groups), default=0)
     scaled = [never if is_infinite(v) else v.numerator * (scale // v.denominator) for v in values]
+    return scale, groups, scaled, never
+
+
+def _best_prices(inst: PricingInstance, rule: str, values, vectors) -> tuple[Fraction, PriceFunction]:
+    """The best of a list of candidate price vectors, as (revenue, PriceFunction).
+
+    Each vector is a tuple of indices into values, one per item.  The
+    uniform price and the SMP oracle's vertices are scored here; the full
+    product of a value list goes to _search_prices instead.  Each vector
+    is scored in the exact ints of _scaled, and only the winner becomes a
+    Fraction and a PriceFunction.
+
+    Ties go to the vector listed first (strict >), so each caller states
+    its tie rule by the order of its candidates.
+    """
+    scale, groups, scaled, _ = _scaled(inst, rule, values)
     price_of = min if rule == UDP else sum
 
     best_revenue = -1
@@ -281,12 +297,111 @@ def _best_prices(inst: PricingInstance, rule: str, values, vectors) -> tuple[Fra
     return Fraction(best_revenue, scale), PriceFunction([values[i] for i in best_vector])
 
 
+def _search_prices(inst: PricingInstance, rule: str, values) -> tuple[Fraction, PriceFunction]:
+    """The best price vector valued in values, as (revenue, PriceFunction).
+
+    Exactly what _best_prices returns on product(range(len(values)),
+    repeat=item_count): the maximum revenue, ties to the first vector in
+    product order.  The search is depth-first in that order (item 0
+    outermost, value indices ascending), in the ints of _scaled.  Each
+    group keeps a partial price over its fixed items (their min under UDP,
+    their sum under SMP), updated only when an item of its bundle is
+    fixed, and is scored when its last item is.  A group still open
+    contributes an optimistic bound: under UDP multiplicity * min(budget,
+    partial min), since more items can only lower its price; under SMP
+    multiplicity * budget while the partial sum is within budget, else 0,
+    since prices are nonnegative.  A node whose fixed revenue plus open
+    bound is at most the best so far is cut: every vector below it comes
+    later in product order, so it could at best tie, and a tie keeps the
+    earlier vector.  The stack is explicit, so a single-value list over
+    thousands of items needs no recursion.
+    """
+    scale, groups, scaled, never = _scaled(inst, rule, values)
+    n = inst.item_count
+    udp = rule == UDP
+    # A group with no item fixed yet: partial min never (above its budget,
+    # so its bound is the full budget) under UDP, partial sum 0 under SMP.
+    partial = [never if udp else 0] * len(groups)
+    touching = [[] for _ in range(n)]
+    for j, (bundle, budget, multiplicity) in enumerate(groups):
+        last = max(bundle)
+        for i in bundle:
+            touching[i].append((j, budget, multiplicity, i == last))
+    open_bound = sum(multiplicity * budget for _, budget, multiplicity in groups)
+
+    width = len(values)
+    choice = [0] * n
+    # Per depth, as of entering it: the fixed revenue, the bound of the
+    # groups its item does not touch, and (group, budget, multiplicity,
+    # last, partial price) for each group it does.
+    base_fixed = [0] * n
+    base_rest = [0] * n
+    entries = [None] * n
+    best_revenue, best_vector = -1, None
+    fixed = 0
+    depth = 0
+    while True:
+        if entries[depth] is None:
+            entry = [(j, budget, multiplicity, last, partial[j])
+                     for j, budget, multiplicity, last in touching[depth]]
+            for _, budget, multiplicity, _, p in entry:
+                if udp:
+                    open_bound -= multiplicity * (p if p < budget else budget)
+                elif p <= budget:
+                    open_bound -= multiplicity * budget
+            base_fixed[depth], base_rest[depth], entries[depth] = fixed, open_bound, entry
+        v = choice[depth]
+        if v == width:
+            for j, _, _, _, p in entries[depth]:
+                partial[j] = p
+            entries[depth] = None
+            depth -= 1
+            if depth < 0:
+                break
+            choice[depth] += 1
+            continue
+        x = scaled[v]
+        fixed = base_fixed[depth]
+        open_bound = base_rest[depth]
+        if udp:
+            for j, budget, multiplicity, last, p in entries[depth]:
+                q = x if x < p else p
+                if last:
+                    if q <= budget:
+                        fixed += multiplicity * q
+                else:
+                    partial[j] = q
+                    open_bound += multiplicity * (q if q < budget else budget)
+        else:
+            for j, budget, multiplicity, last, p in entries[depth]:
+                q = p + x
+                if last:
+                    if q <= budget:
+                        fixed += multiplicity * q
+                else:
+                    partial[j] = q
+                    if q <= budget:
+                        open_bound += multiplicity * budget
+        if fixed + open_bound <= best_revenue:
+            choice[depth] = v + 1
+        elif depth == n - 1:
+            best_revenue, best_vector = fixed, tuple(choice)
+            choice[depth] = v + 1
+        else:
+            depth += 1
+            choice[depth] = 0
+    return Fraction(best_revenue, scale), PriceFunction([values[i] for i in best_vector])
+
+
 # ---------------------------------------------------------------------------
 # exact oracles
 
 
 def opt_udp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
-    """Exhaustive UDP optimum over per-item prices in {budgets} + {INF}.
+    """Exact UDP optimum over per-item prices in {budgets} + {INF}.
+
+    The maximum over all (budgets + 1)^n vectors, ties to the first in
+    product order, found by the branch-and-bound of _search_prices.
 
     Restricting to budget values loses nothing: raising any price to the
     next budget at or above it never changes who can afford their cheapest
@@ -303,8 +418,7 @@ def opt_udp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             f"UDP oracle limited to {caps.MAX_UDP_BUDGETS} distinct budgets, got {len(budgets)}",
             bound="MAX_UDP_BUDGETS",
         )
-    values = budgets + [INF]
-    return _best_prices(inst, UDP, values, product(range(len(values)), repeat=inst.item_count))
+    return _search_prices(inst, UDP, budgets + [INF])
 
 
 def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
@@ -396,7 +510,12 @@ def geometric_price_set(inst: PricingInstance, alpha: Fraction) -> list:
 
 
 def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Fraction, PriceFunction]:
-    """Exhaustive maximum over price functions valued in the geometric ladder.
+    """Exact maximum over price functions valued in the geometric ladder.
+
+    The branch-and-bound of _search_prices returns the best of all
+    len(ladder)^n vectors, ties to the first in product order (item 0
+    outermost, rungs ascending).  MAX_GEOMETRIC_WORK counts every vector,
+    searched or cut.
 
     Guarantee: revenue >= opt * (alpha-1) / alpha^2, because rounding an
     optimal price vector down to the ladder keeps every buyer and costs at
@@ -415,7 +534,7 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
             f"approximation_scheme",
             bound="MAX_GEOMETRIC_WORK",
         )
-    return _best_prices(inst, rule, ladder, product(range(len(ladder)), repeat=inst.item_count))
+    return _search_prices(inst, rule, ladder)
 
 
 @dataclass(frozen=True)

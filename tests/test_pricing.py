@@ -1,6 +1,7 @@
 """Pricing semantics, exact oracles, and the approximation suite."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from matchprice.pricing import (
     PriceFunction,
     PricingInstance,
     _best_prices,
+    _search_prices,
     approximation_scheme,
     evaluate_revenue,
     extend_prices,
@@ -171,6 +173,10 @@ def test_best_prices_checks_the_value_list():
         _best_prices(i, SMP, [F(0), INF], [(0, 0)])
     with pytest.raises(InputError, match="prices must be nonnegative, got -1/2"):
         _best_prices(i, UDP, [F(-1, 2), F(0)], [(1, 1)])
+    with pytest.raises(InputError, match="INF prices are not allowed under SMP"):
+        _search_prices(i, SMP, [F(0), INF])
+    with pytest.raises(InputError, match="prices must be nonnegative, got -1/2"):
+        _search_prices(i, UDP, [F(-1, 2), F(0)])
 
 
 def test_evaluate_validates_coverage():
@@ -388,6 +394,25 @@ def test_geometric_work_refusal_names_alternatives():
     with pytest.raises(CapExceeded) as err:
         geometric_enum_approx(heavy, UDP, F(33, 32))
     assert "alpha" in str(err.value) and "scheme" in str(err.value)
+
+
+@pytest.mark.parametrize("rule", (UDP, SMP))
+def test_single_rung_ladder_on_thousands_of_items(rule):
+    # Zero budgets or no groups give the ladder [0]: one vector for any
+    # item count, and the search must not recurse once per item.  With
+    # delta 1/10 the scheme splits 3,000 items into 3 blocks of 1,000.
+    n = 3000
+    assert n // 3 >= sys.getrecursionlimit()
+    zero = PricingInstance(n, [Group(frozenset(range(j, n, 7)), F(0), 5) for j in range(7)])
+    for i in (zero, PricingInstance(n, [])):
+        assert geometric_price_set(i, F(2)) == [0]
+        assert geometric_enum_approx(i, rule, F(2)) == (0, PriceFunction([0] * n))
+    assert scheme_breakpoints(zero, F(1, 10)) == (3, False)
+    fill = INF if rule == UDP else F(0)
+    assert approximation_scheme(zero, rule, F(1, 10), F(2)) == (
+        0,
+        PriceFunction([F(0)] * 1000 + [fill] * 2000),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
 rights), the left-subset loops of verify_disperser and the
 balanced-independence oracle, the unpruned combinations scan both of
-them came to share, and the Fraction tableau simplex behind the SMP oracle.
+them came to share, the Fraction tableau simplex behind the SMP oracle, and
+the full product scan that geometric enumeration and the UDP oracle ran
+before their branch-and-bound search.
 The engines must return the same values and the same witnesses on every
 seeded input, and refuse the same inputs.
 """
@@ -1037,11 +1039,17 @@ def lower_pricing_caps(monkeypatch):
     monkeypatch.setattr(caps, "MAX_GEOMETRIC_WORK", 400)
 
 
+def ref_search_prices(inst, rule, values):
+    """The Fraction reference over every vector of the product, in order."""
+    return ref_best_prices_over_values(inst, rule, values, product(range(len(values)), repeat=inst.item_count))
+
+
 def test_integer_kernel_matches_fraction_search(monkeypatch):
     lower_pricing_caps(monkeypatch)
     expected = []
     with monkeypatch.context() as m:
         m.setattr(pricing, "_best_prices", ref_best_prices_over_values)
+        m.setattr(pricing, "_search_prices", ref_search_prices)
         for inst in SCALING_CORPUS:
             expected.append([outcome(fn, *args) for _, fn, args in every_pricing_call(inst)])
     refused = answered = 0
@@ -1061,6 +1069,80 @@ def test_every_pricing_algorithm_returns_evaluated_revenue(monkeypatch):
             if result[0] != "refused":
                 revenue, prices = result
                 assert revenue == evaluate_revenue(inst, rule, prices).revenue, (fn.__name__, inst.groups)
+
+
+# ---------------------------------------------------------------------------
+# pricing: the full product scan the branch-and-bound search replaced
+
+
+def ref_product_scan(inst, rule, values):
+    return pricing._best_prices(inst, rule, values, product(range(len(values)), repeat=inst.item_count))
+
+
+SEARCH_BUDGETS = (ZERO, ZERO, Fraction(1, 2), Fraction(1), Fraction(1), Fraction(2), Fraction(7, 3))
+
+
+def search_instance(rng, n, group_count):
+    groups = []
+    for _ in range(group_count):
+        bundle = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        groups.append(Group(bundle, rng.choice(SEARCH_BUDGETS), rng.choice((1, 1, 2, 3, 7))))
+    return PricingInstance(n, groups)
+
+
+def search_value_lists(rng, inst, rule):
+    """The value lists the callers pass (the UDP oracle's budgets + INF, a
+    geometric ladder) and random ones, each with at most 1,024 vectors."""
+    pool = sorted(set(SEARCH_BUDGETS) | {Fraction(3, 2), Fraction(4)})
+    width = 4 if inst.item_count == 5 else 5
+    lists = [[ZERO], sorted(rng.sample(pool, rng.randint(2, width)))]
+    shuffled = rng.sample(pool, rng.randint(2, width))
+    lists.append(shuffled + [INF] if rule == UDP else shuffled)
+    budgets = inst.distinct_budgets()
+    if rule == UDP and len(budgets) < width:
+        lists.append(budgets + [INF])
+    ladder = geometric_price_set(inst, Fraction(2))
+    if len(ladder) ** inst.item_count <= 1024:
+        lists.append(ladder)
+    return lists
+
+
+def test_search_matches_product_scan():
+    # One open UDP group's partial min (5) is above its budget (1) when
+    # item 0 is fixed, and item 1 brings it back under: its bound must stay
+    # 4 * min(1, 5).  Bounding it by 0 cuts the branch at 5 + 0 <= 5 and
+    # misses 5 + 4.
+    rebound = PricingInstance(2, [Group(frozenset({0}), 5, 1), Group(frozenset({0, 1}), 1, 4)])
+    values = [Fraction(1), Fraction(5), INF]
+    assert pricing._search_prices(rebound, UDP, values) == (9, PriceFunction([5, 1]))
+    assert ref_product_scan(rebound, UDP, values) == (9, PriceFunction([5, 1]))
+    assert opt_udp_bruteforce(rebound) == (9, PriceFunction([5, 1]))
+
+    rng = random.Random(20131009)
+    seen = dict.fromkeys(("5x8", "inf", "single", "mult7", "zero", "repeat", "tie"), 0)
+    for k in range(120):
+        n, group_count = (5, 8) if k % 4 == 0 else (rng.randint(1, 5), rng.randint(0, 8))
+        inst = search_instance(rng, n, group_count)
+        for rule in RULES:
+            for values in search_value_lists(rng, inst, rule):
+                expected = ref_product_scan(inst, rule, values)
+                assert pricing._search_prices(inst, rule, values) == expected, (rule, values, inst.groups)
+                seen["5x8"] += (n, group_count) == (5, 8)
+                seen["inf"] += INF in values
+                seen["single"] += len(values) == 1
+                seen["mult7"] += any(g.multiplicity == 7 for g in inst.groups)
+                seen["zero"] += any(g.budget == 0 for g in inst.groups)
+                seen["repeat"] += len(inst.distinct_budgets()) < len(inst.groups)
+                # A later vector, one price away, earns as much: the tie
+                # rule decides.
+                winner = [values.index(x) for x in expected[1]]
+                later = [
+                    winner[:i] + [v] + winner[i + 1:]
+                    for i in range(n)
+                    for v in range(winner[i] + 1, len(values))
+                ]
+                seen["tie"] += bool(later) and pricing._best_prices(inst, rule, values, later)[0] == expected[0]
+    assert min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------
