@@ -18,6 +18,10 @@ between the vertices setting it to 1 and those setting it to 0 with the
 edges of a supplied bipartite graph (intended: a disperser).  The replaced
 edge set is a subset of the original one, so independence numbers never
 decrease.
+
+Both graphs are vertex bitmasks built from one scan of the labels, giving
+each clause's vertex mask and each variable's two side masks (the vertices
+setting it to 0, and to 1); no vertex pair is examined on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import product
 
 from . import caps
 from .errors import CapExceeded, InputError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, bit_indices
 
 
 @dataclass(frozen=True)
@@ -280,77 +284,59 @@ def gap_amplify(instance: CspInstance, t: int, m_out: int, seed: int) -> CspInst
 def fglss_build(instance: CspInstance) -> tuple[Graph, tuple[tuple[int, str], ...]]:
     """Conflict graph plus vertex labels (clause_index, pattern), sorted by
     that pair.  Vertex count = sum of satisfying-set sizes, capped at
-    caps.MAX_FGLSS_VERTICES."""
-    labels = []
-    for ci, clause in enumerate(instance.clauses):
-        for pat in clause.sorted_patterns():
-            labels.append((ci, pat))
+    caps.MAX_FGLSS_VERTICES.
+
+    Vertex a's neighbour mask is its clause mask OR-ed with the other-value
+    side of each variable of its pattern, minus a's own bit (a shared clause
+    or a disagreement on a shared variable): O(n * arity) mask operations.
+    """
+    labels = [(ci, pat) for ci, c in enumerate(instance.clauses) for pat in c.sorted_patterns()]
     if len(labels) > caps.MAX_FGLSS_VERTICES:
         raise CapExceeded(
             f"conflict graph would have {len(labels)} vertices, "
             f"limit is {caps.MAX_FGLSS_VERTICES}",
             bound="MAX_FGLSS_VERTICES",
         )
-    edges = []
-    for a in range(len(labels)):
-        ca, pa = labels[a]
-        for b in range(a + 1, len(labels)):
-            cb, pb = labels[b]
-            if ca == cb:
-                edges.append((a, b))
-            elif _conflict(instance.clauses[ca], pa, instance.clauses[cb], pb):
-                edges.append((a, b))
-    return Graph(len(labels), edges), tuple(labels)
+    clause_masks, sides = _label_masks(labels, instance)
+    adj = []
+    for vertex, (ci, pat) in enumerate(labels):
+        mask = clause_masks[ci]
+        for v, value in zip(instance.clauses[ci].variables, pat):
+            mask |= sides[v][value == "0"]
+        adj.append(mask & ~(1 << vertex))
+    return Graph._from_masks(len(labels), adj), tuple(labels)
 
 
-def _conflict(clause_a: Clause, pat_a: str, clause_b: Clause, pat_b: str) -> bool:
-    for i, v in enumerate(clause_a.variables):
-        if v in clause_b.variables:
-            if pat_a[i] != pat_b[clause_b.variables.index(v)]:
-                return True
-    return False
-
-
-def vertex_value(labels, instance: CspInstance, vertex: int, variable: int) -> int | None:
-    """The value the vertex's pattern gives the variable, or None if the
-    vertex's clause does not contain it."""
-    ci, pat = labels[vertex]
-    clause = instance.clauses[ci]
-    if variable not in clause.variables:
-        return None
-    return int(pat[clause.variables.index(variable)])
-
-
-def variable_sides(labels, instance: CspInstance, variable: int) -> tuple[list[int], list[int]]:
-    """(ones, zeros): vertices whose pattern sets the variable to 1 / 0,
-    each list ascending."""
-    ones, zeros = [], []
-    for v in range(len(labels)):
-        val = vertex_value(labels, instance, v, variable)
-        if val == 1:
-            ones.append(v)
-        elif val == 0:
-            zeros.append(v)
-    return ones, zeros
+def _label_masks(labels, instance: CspInstance) -> tuple[list[int], list[list[int]]]:
+    """One scan of the labels: each clause's vertex mask, and for each
+    variable the pair [mask of vertices setting it to 0, ... to 1]."""
+    clause_masks = [0] * len(instance.clauses)
+    sides = [[0, 0] for _ in range(instance.num_vars)]
+    for vertex, (ci, pat) in enumerate(labels):
+        bit = 1 << vertex
+        clause_masks[ci] |= bit
+        for v, value in zip(instance.clauses[ci].variables, pat):
+            sides[v][value == "1"] |= bit
+    return clause_masks, sides
 
 
 def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplier) -> Graph:
     """Sparsify disagreement edges variable by variable.
 
-    For every variable that occurs in some satisfying pattern, the vertices
+    Vertex i is labels[i], in any order; a label that names no satisfying
+    pattern of an instance clause is an input error, and g gives only the
+    vertex count.  For every variable that occurs in some label, the vertices
     setting it to 1 (ascending) form a left side and those setting it to 0
-    (ascending) a right side; both sides must have equal size, else an input
-    error names the variable.  disperser_supplier(size) is called once per
-    such variable, in ascending variable order, and must return a
-    BipartiteGraph with both sides of that size; its edges are the
-    disagreement edges kept for that variable.  Same-clause edges always
-    stay.
+    (ascending) a right side; unequal sizes are an input error naming the
+    variable.  disperser_supplier(size) is called once per such variable, in
+    ascending variable order, and must return a BipartiteGraph with both
+    sides of that size.  Errors come in this order: labels, then per
+    variable its balance, the supplier's type and its side sizes.
 
-    The output is built from the labels and the supplied graphs alone (g
-    gives only the vertex count), so pass the graph and labels exactly as
-    produced by fglss_build; a label that names no satisfying pattern of an
-    instance clause is an input error.  Every kept edge is an edge of the
-    full conflict graph, hence the independence number never decreases.
+    Each vertex starts from its clause mask (same-clause edges always stay)
+    and every supplied pair is OR-ed into both endpoints' masks.  Every kept
+    edge is an edge of the full conflict graph, hence the independence
+    number never decreases.
     """
     labels = tuple(labels)
     if len(labels) != g.vertex_count:
@@ -362,26 +348,19 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
             raise InputError(
                 f"vertex {vertex}: {pat!r} is not a satisfying pattern of clause {ci}"
             )
-    n = g.vertex_count
-    edges = set()
-    for u in range(n):
-        for w in range(u + 1, n):
-            if labels[u][0] == labels[w][0]:
-                edges.add((u, w))
-
-    for variable in range(instance.num_vars):
-        ones, zeros = variable_sides(labels, instance, variable)
-        if not ones and not zeros:
+    clause_masks, sides = _label_masks(labels, instance)
+    adj = [clause_masks[ci] & ~(1 << vertex) for vertex, (ci, _) in enumerate(labels)]
+    for variable, (zero_mask, one_mask) in enumerate(sides):
+        if not zero_mask and not one_mask:
             continue
+        ones, zeros = bit_indices(one_mask), bit_indices(zero_mask)
         if len(ones) != len(zeros):
             raise InputError(
                 f"variable {variable} is unbalanced: {len(ones)} ones vs {len(zeros)} zeros"
             )
         disp = disperser_supplier(len(ones))
         if not isinstance(disp, BipartiteGraph):
-            raise InputError(
-                f"supplier returned {type(disp).__name__} for variable {variable}"
-            )
+            raise InputError(f"supplier returned {type(disp).__name__} for variable {variable}")
         if disp.left_count != len(ones) or disp.right_count != len(zeros):
             raise InputError(
                 f"variable {variable}: sides {len(ones)}x{len(zeros)} do not match "
@@ -389,5 +368,6 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
             )
         for i, j in disp.edges:
             a, b = ones[i], zeros[j]
-            edges.add((min(a, b), max(a, b)))
-    return Graph(n, sorted(edges))
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return Graph._from_masks(g.vertex_count, adj)

@@ -61,6 +61,20 @@ class Graph:
         self.edges = frozenset(seen)
         self._adj = tuple(adj)
 
+    @classmethod
+    def _from_masks(cls, vertex_count: int, adj) -> "Graph":
+        """The graph with neighbour masks adj, unchecked.  Precondition: the
+        masks are symmetric, loop-free, in range and derived from validated
+        objects: validated labels OR-ed into both endpoints with the own bit
+        cleared (fglss_build, disperser_replace), or a BipartiteGraph's side
+        masks renumbered (bipartite_to_graph)."""
+        g = cls.__new__(cls)
+        g.vertex_count = vertex_count
+        g.edges = frozenset([(u, u + 1 + i) for u, mask in enumerate(adj)
+                             for i in bit_indices(mask >> (u + 1))])
+        g._adj = tuple(adj)
+        return g
+
     def has_edge(self, u: int, w: int) -> bool:
         return (self._adj[u] >> w) & 1 == 1
 
@@ -95,6 +109,11 @@ class Graph:
             return cls(obj["n"], [tuple(e) for e in obj["edges"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph json: {exc}") from None
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class BipartiteGraph:
@@ -689,7 +708,8 @@ def bipartite_to_graph(bg: BipartiteGraph) -> Graph:
     once per bg and shared, as both graphs are immutable."""
     if bg._flat_graph is None:
         off = bg.left_count
-        bg._flat_graph = Graph(bg.left_count + bg.right_count, [(u, off + w) for u, w in bg.edges])
+        adj = [mask << off for mask in bg._left_adj] + list(bg._right_adj)
+        bg._flat_graph = Graph._from_masks(off + bg.right_count, adj)
     return bg._flat_graph
 
 

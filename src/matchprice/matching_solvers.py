@@ -25,16 +25,9 @@ from .graphs import (
     Matching,
     _edge_conflicts_induced,
     _mis_lex_witness,
+    bit_indices,
     is_induced_matching,
 )
-
-
-def bit_indices(mask: int):
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def round_robin_blocks(n: int, r: int) -> list[list[int]]:

@@ -22,8 +22,6 @@ from matchprice.csp_fglss import (
     max_sat_bruteforce,
     random_balanced_csp,
     random_csp,
-    variable_sides,
-    vertex_value,
 )
 from matchprice.graphs import BipartiteGraph, max_independent_set_bruteforce
 
@@ -91,6 +89,29 @@ def cross_clause_degrees(graph, labels):
             out[u] += 1
             out[w] += 1
     return out
+
+
+def vertex_value(labels, instance, vertex, variable):
+    """The value the vertex's pattern gives the variable, or None if the
+    vertex's clause does not contain it."""
+    ci, pat = labels[vertex]
+    clause = instance.clauses[ci]
+    if variable not in clause.variables:
+        return None
+    return int(pat[clause.variables.index(variable)])
+
+
+def variable_sides(labels, instance, variable):
+    """(ones, zeros): vertices whose pattern sets the variable to 1 / 0,
+    each list ascending."""
+    ones, zeros = [], []
+    for v in range(len(labels)):
+        val = vertex_value(labels, instance, v, variable)
+        if val == 1:
+            ones.append(v)
+        elif val == 0:
+            zeros.append(v)
+    return ones, zeros
 
 
 def complete_bip(n):

@@ -479,3 +479,16 @@ def test_bipartite_to_graph_offsets():
     g = bipartite_to_graph(bg)
     assert g.vertex_count == 4
     assert g.edges == frozenset({(0, 3), (1, 2)})
+
+
+def test_bipartite_to_graph_equals_validated_construction():
+    rng = random.Random(4771)
+    for left in range(0, 6):
+        for right in range(0, 6):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                bg = random_bipartite(left, right, p, seed=rng.randrange(10**6))
+                want = Graph(left + right, [(u, left + w) for u, w in bg.edges])
+                got = bipartite_to_graph(bg)
+                assert got.vertex_count == want.vertex_count
+                assert got.edges == want.edges
+                assert got._adj == want._adj

@@ -4,8 +4,9 @@ Each reference below is the earlier implementation, kept verbatim in
 behaviour: the depth-first "one incident edge or nothing" search for the
 general r-approximation classes, the all-orders enumeration with its
 per-kind feasibility tests, the matching checkers and conflict builders
-with one branch per graph kind, the pair-by-pair re-derivation of the edges
-disperser_replace keeps, the hand-written best-so-far loops of the
+with one branch per graph kind, the pairwise conflict scan that built the
+FGLSS graph, the pair-by-pair re-derivation of the edges disperser_replace
+keeps, the hand-written best-so-far loops of the
 pricing algorithms, the r-approximations and the max-sat oracle, the
 Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
@@ -39,7 +40,6 @@ from matchprice.csp_fglss import (
     max_sat_bruteforce,
     random_balanced_csp,
     random_csp,
-    variable_sides,
 )
 from matchprice.disperser import random_disperser, verify_disperser
 from matchprice.errors import CapExceeded, InputError
@@ -91,6 +91,7 @@ from matchprice.pricing import (
     uniform_price_approx,
 )
 from matchprice.rationals import INF, is_infinite
+from test_csp_fglss import variable_sides
 
 # ---------------------------------------------------------------------------
 # general r-approximation classes: depth-first search per class
@@ -597,6 +598,87 @@ def test_matching_rules_match_per_kind_branches():
 
 
 # ---------------------------------------------------------------------------
+# fglss_build: the pairwise conflict scan the label masks replaced
+
+
+def ref_fglss_build(instance):
+    labels = []
+    for ci, clause in enumerate(instance.clauses):
+        for pat in clause.sorted_patterns():
+            labels.append((ci, pat))
+    if len(labels) > caps.MAX_FGLSS_VERTICES:
+        raise CapExceeded("conflict graph too large", bound="MAX_FGLSS_VERTICES")
+    edges = []
+    for a in range(len(labels)):
+        ca, pa = labels[a]
+        for b in range(a + 1, len(labels)):
+            cb, pb = labels[b]
+            if ca == cb:
+                edges.append((a, b))
+            elif ref_conflict(instance.clauses[ca], pa, instance.clauses[cb], pb):
+                edges.append((a, b))
+    return Graph(len(labels), edges), tuple(labels)
+
+
+def ref_conflict(clause_a, pat_a, clause_b, pat_b):
+    for i, v in enumerate(clause_a.variables):
+        if v in clause_b.variables:
+            if pat_a[i] != pat_b[clause_b.variables.index(v)]:
+                return True
+    return False
+
+
+def assert_same_graph(got, expected):
+    assert got.vertex_count == expected.vertex_count
+    assert got.edges == expected.edges
+    assert got._adj == expected._adj
+
+
+def fglss_corpus():
+    rng = random.Random(2207)
+    for _ in range(60):
+        num_vars = rng.randint(2, 7)
+        inst = random_csp(num_vars, rng.randint(1, 6), rng.randint(1, min(3, num_vars)),
+                          rng.randrange(10**6))
+        yield inst
+        yield gap_amplify(inst, rng.randint(1, 3), rng.randint(1, 6), rng.randrange(10**6))
+        balanced = random_balanced_csp(num_vars + 2, rng.randint(1, 6), 2, rng.randrange(10**6))
+        yield balanced
+        yield gap_amplify(balanced, 2, rng.randint(1, 6), rng.randrange(10**6))
+        yield duplicate_clauses(inst, rng.randint(2, 3))
+    yield CspInstance(0, [Clause((), {""})])
+    yield CspInstance(2, [Clause((), {""}), Clause((), {""}), Clause((0, 1), {"01", "10"})])
+    yield CspInstance(3, [Clause((0, 1), set()), Clause((1, 2), {"00", "11"}),
+                          Clause((0,), set())])
+    yield CspInstance(6, [Clause((0, 1), {"00", "01", "11"}), Clause((2, 3), {"10"}),
+                          Clause((4, 5), {"00", "11"})])
+    yield CspInstance(4, [Clause((3, 1), {"01", "10"})] * 3 + [Clause((1, 3), {"00"})])
+
+
+def test_fglss_build_matches_pairwise_scan():
+    has_edges = set()
+    for inst in fglss_corpus():
+        graph, labels = fglss_build(inst)
+        ref_graph, ref_labels = ref_fglss_build(inst)
+        assert labels == ref_labels
+        assert_same_graph(graph, ref_graph)
+        has_edges.add(len(graph.edges) > 0)
+    # both edgeless and nonempty conflict graphs occur
+    assert has_edges == {False, True}
+
+
+def test_fglss_build_refuses_same_inputs():
+    inst = random_balanced_csp(12, 64, 4, 3)
+    assert sum(len(c.satisfying) for c in inst.clauses) == 512
+    graph, labels = fglss_build(inst)
+    assert_same_graph(graph, ref_fglss_build(inst)[0])
+    bigger = CspInstance(12, inst.clauses + (Clause((0,), {"0"}),))
+    for build in (fglss_build, ref_fglss_build):
+        with pytest.raises(CapExceeded):
+            build(bigger)
+
+
+# ---------------------------------------------------------------------------
 # disperser_replace: re-derive every kept disagreement edge pair by pair
 
 
@@ -655,10 +737,15 @@ def test_disperser_replace_matches_rederivation(amplified):
         if amplified:
             inst = gap_amplify(inst, 2, rng.randint(2, 4), rng.randrange(10**6))
         graph, labels = fglss_build(inst)
-        seed = rng.randrange(10**6)
-        got = disperser_replace(graph, labels, inst, seeded_supplier(seed))
-        expected = ref_disperser_replace(graph, labels, inst, seeded_supplier(seed))
-        assert got.sorted_edges() == expected.sorted_edges()
+        shuffled = list(labels)
+        rng.shuffle(shuffled)
+        # labels read from a file need not come in fglss_build's order
+        for order in (labels, shuffled):
+            seed = rng.randrange(10**6)
+            got = disperser_replace(graph, order, inst, seeded_supplier(seed))
+            expected = ref_disperser_replace(graph, order, inst, seeded_supplier(seed))
+            assert got.sorted_edges() == expected.sorted_edges()
+            assert got._adj == expected._adj
 
 
 # ---------------------------------------------------------------------------
