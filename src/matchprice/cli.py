@@ -57,7 +57,7 @@ from .pricing import (
     opt_udp_bruteforce,
     uniform_price_approx,
 )
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .reduction import extract_with_stats, reduce_full
 from .verify import DESK, SCALES, derive_seed, run_all
 
@@ -85,7 +85,7 @@ def read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad json or utf-8, or an int past the digit limit
         raise InputError(f"{path} is not valid json: {exc}") from exc
 
 
@@ -486,9 +486,9 @@ def cmd_verify(args) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        return parse_rational(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

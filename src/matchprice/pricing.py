@@ -432,13 +432,17 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     their bundles, which only helps.
 
     Every budget is scaled once by the lcm of the budget denominators, so
-    each LP gets int objective, 0/1 int rows and int bounds; scaling every
-    bound by one factor scales the vertex without changing a pivot, and
-    the vertex prices are divided back.
+    each LP gets int objective, 0/1 int rows and int bounds, and goes
+    straight to ratlp.maximize_int; scaling every bound by one factor
+    scales the vertex without changing a pivot.  A vertex stays in ints,
+    reduced by the gcd of its numerators and denominator so equal vertices
+    are equal tuples.  Only the distinct coordinates of the distinct
+    vertices become Fractions, divided back by the scale.
     """
-    if len(inst.groups) > caps.MAX_SMP_GROUPS:
+    groups = inst.groups
+    if len(groups) > caps.MAX_SMP_GROUPS:
         raise CapExceeded(
-            f"SMP oracle limited to {caps.MAX_SMP_GROUPS} groups, got {len(inst.groups)}",
+            f"SMP oracle limited to {caps.MAX_SMP_GROUPS} groups, got {len(groups)}",
             bound="MAX_SMP_GROUPS",
         )
     if inst.item_count > caps.MAX_SMP_ITEMS:
@@ -447,26 +451,47 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
             bound="MAX_SMP_ITEMS",
         )
     n = inst.item_count
-    scale = math.lcm(*(g.budget.denominator for g in inst.groups))
-    budgets = [g.budget.numerator * (scale // g.budget.denominator) for g in inst.groups]
-    rows = [[int(i in g.bundle) for i in range(n)] for g in inst.groups]
-    vertices = {(ZERO,) * n}
-    for mask in range(1, 1 << len(inst.groups)):
-        winners = [j for j in range(len(inst.groups)) if (mask >> j) & 1]
-        objective = [0] * n
-        for j in winners:
-            g = inst.groups[j]
-            for i in g.bundle:
-                objective[i] += g.multiplicity
-        _, x = ratlp.maximize(objective, [rows[j] for j in winners], [budgets[j] for j in winners])
-        vertices.add(tuple(x))
-    # The vertices stay scaled until here: one positive factor changes
-    # neither their distinctness nor their order.
-    values = sorted({v for x in vertices for v in x})
+    scale = math.lcm(*(g.budget.denominator for g in groups))
+    group_rows = [[int(i in g.bundle) for i in range(n)] for g in groups]
+    group_budgets = [g.budget.numerator * (scale // g.budget.denominator) for g in groups]
+    maximize_int = ratlp.maximize_int
+
+    # Each W splits into its low and its high half of the groups, so two
+    # tables of 2^(k/2) subsets give every W's program in ascending group
+    # order without keeping one per mask.
+    def subsets(part):
+        """(objective, rows, budgets) of each subset of part, indexed by its
+        mask over part, groups in ascending order."""
+        table = [([0] * n, [], [])]
+        for j in part:
+            row, budget, multiplicity = group_rows[j], group_budgets[j], groups[j].multiplicity
+            table += [([a + multiplicity * b for a, b in zip(objective, row)], [*rows, row], [*budgets, budget])
+                      for objective, rows, budgets in table]
+        return table
+
+    half = len(groups) // 2
+    low, high = subsets(range(half)), subsets(range(half, len(groups)))
+    low_mask = (1 << half) - 1
+    vertices = {(0,) * n + (1,)}  # (numerators, denominator), gcd-reduced
+    for mask in range(1, 1 << len(groups)):
+        low_objective, low_rows, low_budgets = low[mask & low_mask]
+        high_objective, high_rows, high_budgets = high[mask >> half]
+        objective = [a + b for a, b in zip(low_objective, high_objective)]
+        _, x, d = maximize_int(objective, low_rows + high_rows, low_budgets + high_budgets)
+        common = math.gcd(d, *x)
+        if common > 1:
+            x = [v // common for v in x]
+            d //= common
+        vertices.add((*x, d))
+    # Over one common denominator, int tuples sort as the Fraction vertices
+    # do: ascending, so a tie goes to the lexicographically least vertex.
+    # One positive factor changes neither distinctness nor order.
+    denominator = math.lcm(*(x[-1] for x in vertices))
+    points = sorted([v * (denominator // x[-1]) for v in x[:-1]] for x in vertices)
+    values = sorted({v for x in points for v in x})
     index = {v: i for i, v in enumerate(values)}
-    # Ascending tuple order, so a tie goes to the lexicographically least vertex.
-    vectors = (tuple(index[v] for v in x) for x in sorted(vertices))
-    return _best_prices(inst, SMP, [v / scale for v in values], vectors)
+    vectors = (tuple(map(index.__getitem__, x)) for x in points)
+    return _best_prices(inst, SMP, [Fraction(v, denominator * scale) for v in values], vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,19 @@ one.  And d > 0 throughout, so the integer entries have the signs of the
 rational ones.  Hence the signs of the reduced costs, the order of the
 ratios (compared by cross-multiplication) and the ties among them are the
 same, and so are the entering column, the leaving row and the vertex
-returned.  Fractions are built only for that vertex and its value.
+returned.
+
+maximize_int is that pivot loop alone: int entries in, the value and
+vertex out as ints over the last pivot.  maximize checks and scales its
+input, calls it, and builds Fractions only for the vertex and its value.
+The SMP oracle calls maximize_int directly, since its rows are already
+0/1 and its bounds ints.
 """
 
 from fractions import Fraction
 import math
 
 from .errors import InputError
-
-ZERO = Fraction(0)
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -39,6 +43,14 @@ def _scaled(values) -> tuple[int, list[int]]:
     if scale == 1:
         return 1, [v.numerator for v in values]
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _checked(values) -> list:
+    """values, refused unless every entry is an int or a Fraction (not a bool)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise InputError(f"linear program entries must be ints or Fractions, got {type(v).__name__}")
+    return values
 
 
 def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
@@ -53,22 +65,41 @@ def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
     m = len(rows)
     if len(bounds) != m:
         raise InputError(f"{m} constraint rows but {len(bounds)} bounds")
-    if any(b < 0 for b in bounds):
+    if any(b < 0 for b in _checked(bounds)):
         raise InputError("bounds must be nonnegative for the slack-basis start")
-
-    # Columns: n originals, m slacks, then the right-hand side.
-    tableau = []
+    scaled_rows = []
+    scaled_bounds = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InputError(f"constraint row {i} has {len(row)} coefficients, want {n}")
-        _, scaled = _scaled([*row, bounds[i]])
+        _, scaled = _scaled([*_checked(row), bounds[i]])
+        scaled_rows.append(scaled[:n])
+        scaled_bounds.append(scaled[n])
+    objective_scale, cost = _scaled(_checked(objective))
+    value, x, d = maximize_int(cost, scaled_rows, scaled_bounds)
+    return Fraction(value, d * objective_scale), [Fraction(v, d) for v in x]
+
+
+def maximize_int(objective, rows, bounds) -> tuple[int, list[int], int]:
+    """maximize on int entries, with no checks and no scaling.
+
+    The caller guarantees ints only, len(bounds) == len(rows), every row of
+    len(objective) entries and every bound nonnegative.  Returns
+    (value numerator, vertex numerators, d): the optimal value and vertex
+    are those ints over d, the last pivot (d > 0, and not reduced).
+    Raises InputError on an unbounded program.
+    """
+    n = len(objective)
+    m = len(rows)
+    # Columns: n originals, m slacks, then the right-hand side.
+    tableau = []
+    for i, row in enumerate(rows):
         slack = [0] * m
         slack[i] = 1
-        tableau.append(scaled[:n] + slack + scaled[n:])
-    # Reduced-cost row; its rhs entry accumulates -(objective value), both
-    # times objective_scale and the current d.
-    objective_scale, cost = _scaled(objective)
-    cost += [0] * (m + 1)
+        tableau.append([*row, *slack, bounds[i]])
+    # Reduced-cost row; its rhs entry accumulates -(objective value) times
+    # the current d.
+    cost = [*objective] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     d = 1
 
@@ -103,8 +134,8 @@ def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
         basis[r] = entering
         d = p
 
-    x = [ZERO] * n
+    x = [0] * n
     for i, variable in enumerate(basis):
         if variable < n:
-            x[variable] = Fraction(tableau[i][-1], d)
-    return Fraction(-cost[-1], d * objective_scale), x
+            x[variable] = tableau[i][-1]
+    return -cost[-1], x, d

@@ -217,13 +217,13 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def run_cli(*argv, **environ):
+def run_cli(*argv, module="matchprice.cli", **environ):
     """The CLI as a subprocess, with extra environment variables."""
     src = str(Path(matchprice.__file__).resolve().parents[1])
     pythonpath = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     return subprocess.run(
-        [sys.executable, "-m", "matchprice.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -373,3 +373,43 @@ def test_non_integer_cap_override_exits_two_without_traceback():
     assert proc.stderr.startswith("error: MATCHPRICE_MAX_IS_VERTICES")
     assert proc.stdout == ""
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "pricing", "--algo", "uniform", "--input", "{huge_budget}"],
+        ["solve", "pricing", "--algo", "scheme", "--alpha", "1e-5000", "--input", "{smp_example}"],
+        ["solve", "pricing", "--algo", "uniform", "--input", "{huge_int}"],
+    ],
+    ids=["budget-1e999999", "alpha-1e-5000", "budget-5001-digit-int"],
+)
+def test_oversized_rational_exits_two_without_traceback(tmp_path, argv):
+    """A value whose numerator or denominator has more digits than Python
+    prints is refused where it is parsed, not when its report is written."""
+    paths = {"smp_example": resources.files("matchprice") / "data" / "two_consumer_smp.json"}
+    for name, budget in (("huge_budget", '"1e999999"'), ("huge_int", "1" + "0" * 5000)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(
+            '{"items": 1, "rule": "smp", "groups": [{"budget": %s, "bundle": [0], "multiplicity": 1}]}' % budget
+        )
+    proc = run_cli(*(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "needs more than" in proc.stderr or "Exceeds the limit" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_undecodable_input_exits_two_without_traceback(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    proc = run_cli("solve", "pricing", "--algo", "uniform", "--input", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "is not valid json" in proc.stderr
+
+
+def test_package_runs_as_a_module():
+    proc = run_cli("--version", module="matchprice")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"matchprice {matchprice.__version__}\n"

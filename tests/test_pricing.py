@@ -268,6 +268,21 @@ def test_lp_rejects_negative_bounds():
         ratlp.maximize([1], [[1]], [-1])
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, False, "1"])
+@pytest.mark.parametrize("where", ["objective", "row", "bound"])
+def test_lp_rejects_entries_that_are_not_ints_or_fractions(entry, where):
+    """A float would be read off .denominator and a bool as 0 or 1."""
+    objective, rows, bounds = [1, 1], [[1, 0], [0, 1]], [3, 2]
+    if where == "objective":
+        objective[1] = entry
+    elif where == "row":
+        rows[1][0] = entry
+    else:
+        bounds[1] = entry
+    with pytest.raises(InputError, match="must be ints or Fractions, got " + type(entry).__name__):
+        ratlp.maximize(objective, rows, bounds)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

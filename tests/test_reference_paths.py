@@ -846,14 +846,67 @@ def test_integer_simplex_matches_fraction_simplex():
     assert any(kind.startswith("constraint row") for kind in kinds)
 
 
-def smp_vertex_instance(rng):
-    """At most 6 items and 8 groups; budgets over one denominator up to 729
-    with zeros and repeats, and repeated groups."""
+def int_outcome(objective, rows, bounds):
+    """maximize_int's answer as maximize's Fractions, or its refusal."""
+    try:
+        value, x, d = ratlp.maximize_int(objective, rows, bounds)
+    except InputError as e:
+        return "refused", str(e)
+    assert d > 0 and all(type(v) is int for v in (value, *x, d))
+    return [Fraction(v, d) for v in (value, *x)]
+
+
+def fraction_outcome(objective, rows, bounds):
+    try:
+        value, x = ratlp.maximize(objective, rows, bounds)
+    except InputError as e:
+        return "refused", str(e)
+    return [value, *x]
+
+
+def zero_one_lp(rng):
+    """0/1 rows, some repeated, with tied (and zero) budgets: the oracle's
+    programs, plus objectives that leave a column unbounded."""
     n = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        if rows and rng.random() < 0.25:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([rng.randint(0, 1) for _ in range(n)])
+    tied = rng.randint(1, 9)
+    bounds = [rng.choice((0, tied, tied, rng.randint(0, 9))) for _ in rows]
+    objective = [rng.randint(0, 4) for _ in range(n)]
+    return objective, rows, bounds
+
+
+def test_int_simplex_kernel_matches_maximize():
+    rng = random.Random(4150)
+    programs = []
+    while len(programs) < 600:
+        objective, rows, bounds = random_lp(rng)
+        entries = (*objective, *bounds, *(a for row in rows for a in row))
+        if (all(type(v) is int for v in entries) and min(bounds, default=0) >= 0
+                and all(len(row) == len(objective) for row in rows)):
+            programs.append((objective, rows, bounds))
+    programs += [zero_one_lp(rng) for _ in range(1500)]
+    kinds = {}
+    for lp in programs:
+        expected = fraction_outcome(*lp)
+        assert int_outcome(*lp) == expected, lp
+        kind = expected[1] if expected[0] == "refused" else "solved"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["solved"] > 1000 and kinds["linear program is unbounded"] > 100
+
+
+def smp_vertex_instance(rng, n=None, group_count=None):
+    """At most 6 items and 8 groups unless given; budgets over one
+    denominator up to 729 with zeros and repeats, and repeated groups."""
+    n = n or rng.randint(1, 6)
     d = rng.choice((1, 2, 3, 9, 27, 81, 243, 729))
     pool = (ZERO, ZERO, ONE, Fraction(rng.randint(1, 30), d), Fraction(rng.randint(1, 30), d))
     groups = []
-    for _ in range(rng.randint(1, 8)):
+    for _ in range(group_count or rng.randint(1, 8)):
         if groups and rng.random() < 0.15:
             groups.append(groups[-1])
         else:
@@ -878,19 +931,19 @@ def ref_winner_vertices(inst):
 
 
 def test_smp_oracle_vertices_match_fraction_simplex(monkeypatch):
-    """The oracle hands maximize budgets scaled by the lcm of their
-    denominators; each returned vertex, divided back, is the Fraction
-    simplex's vertex on the unscaled program."""
+    """The oracle hands maximize_int budgets scaled by the lcm of their
+    denominators; each returned vertex, divided back by its d and that
+    scale, is the Fraction simplex's vertex on the unscaled program."""
     calls = []
-    maximize = ratlp.maximize
+    maximize_int = ratlp.maximize_int
 
-    def recording_maximize(objective, rows, bounds):
+    def recording_maximize_int(objective, rows, bounds):
         assert all(type(v) is int for v in (*objective, *bounds, *(a for row in rows for a in row)))
-        value, x = maximize(objective, rows, bounds)
-        calls.append(x)
-        return value, x
+        value, x, d = maximize_int(objective, rows, bounds)
+        calls.append((x, d))
+        return value, x, d
 
-    monkeypatch.setattr(ratlp, "maximize", recording_maximize)
+    monkeypatch.setattr(ratlp, "maximize_int", recording_maximize_int)
     rng = random.Random(4200)
     lps = 0
     for _ in range(40):
@@ -898,9 +951,27 @@ def test_smp_oracle_vertices_match_fraction_simplex(monkeypatch):
         calls.clear()
         opt_smp_bruteforce(inst)
         scale = math.lcm(*(g.budget.denominator for g in inst.groups))
-        assert [[v / scale for v in x] for x in calls] == ref_winner_vertices(inst), inst.groups
+        got = [[Fraction(v, d * scale) for v in x] for x, d in calls]
+        assert got == ref_winner_vertices(inst), inst.groups
         lps += len(calls)
     assert lps > 1000
+
+
+def ref_smp_from_vertices(inst):
+    """The best of the Fraction simplex's distinct vertices and the zero
+    vertex, ties to the lexicographically least."""
+    vertices = {tuple(x) for x in ref_winner_vertices(inst)}
+    vertices.add((ZERO,) * inst.item_count)
+    return ref_best_prices(inst, SMP, sorted(vertices))
+
+
+def test_smp_oracle_matches_fraction_vertex_reference():
+    rng = random.Random(4300)
+    # up to 6 groups keeps the Fraction simplex at about 20 LPs an instance
+    instances = [smp_vertex_instance(rng, group_count=rng.randint(1, 6)) for _ in range(200)]
+    instances += [smp_vertex_instance(rng, 6, 10) for _ in range(2)]
+    for inst in instances:
+        assert opt_smp_bruteforce(inst) == ref_smp_from_vertices(inst), inst.groups
 
 
 # ---------------------------------------------------------------------------
