@@ -194,9 +194,7 @@ def cmd_csp_fglss(args) -> int:
     instance = load_csp(args.input)
     graph, labels = fglss_build(instance)
     artifact = {"graph": graph.to_json(), "labels": [list(label) for label in labels]}
-    report = report_for(
-        "csp fglss", None, vertices=graph.vertex_count, edges=len(graph.edges)
-    )
+    report = report_for("csp fglss", None, vertices=graph.vertex_count, edges=graph.edge_count())
     emit(args, artifact, report)
     return 0
 
@@ -225,8 +223,8 @@ def cmd_csp_replace(args) -> int:
         args.seed,
         gamma=args.gamma,
         d=args.d,
-        edges_before=len(graph.edges),
-        edges_after=len(replaced.edges),
+        edges_before=graph.edge_count(),
+        edges_after=replaced.edge_count(),
     )
     emit(args, artifact, report)
     return 0
@@ -290,9 +288,7 @@ def cmd_graph_gen(args) -> int:
         graph = random_graph(args.n, args.p, args.seed)
     else:
         raise InputError("give --n for a graph or --left/--right for a bipartite one")
-    report = report_for(
-        "graph gen", args.seed, bipartite=bipartite, edges=len(graph.edges)
-    )
+    report = report_for("graph gen", args.seed, bipartite=bipartite, edges=graph.edge_count())
     emit(args, graph.to_json(), report)
     return 0
 
@@ -308,7 +304,7 @@ def cmd_graph_cover(args) -> int:
         same_vertex_edges=bool(args.same_vertex_edges),
         left=cover.left_count,
         right=cover.right_count,
-        edges=len(cover.edges),
+        edges=cover.edge_count(),
     )
     emit(args, cover.to_json(), report)
     return 0
@@ -409,7 +405,7 @@ def cmd_pipeline(args) -> int:
     stages["amplified"] = {"t": args.t, "num_clauses": len(amplified.clauses)}
 
     graph, labels = fglss_build(amplified)
-    stage = {"vertices": graph.vertex_count, "edges": len(graph.edges)}
+    stage = {"vertices": graph.vertex_count, "edges": graph.edge_count()}
     if graph.vertex_count <= caps.MAX_IS_VERTICES:
         alpha, _ = max_independent_set_bruteforce(graph)
         stage["independence"] = alpha
@@ -417,7 +413,7 @@ def cmd_pipeline(args) -> int:
 
     supplier = make_disperser_supplier(args.d, args.seed)
     replaced = disperser_replace(graph, labels, amplified, supplier)
-    stage = {"vertices": replaced.vertex_count, "edges": len(replaced.edges)}
+    stage = {"vertices": replaced.vertex_count, "edges": replaced.edge_count()}
     if replaced.vertex_count <= caps.MAX_IS_VERTICES:
         alpha, _ = max_independent_set_bruteforce(replaced)
         stage["independence"] = alpha
@@ -427,7 +423,7 @@ def cmd_pipeline(args) -> int:
     stages["double_cover"] = {
         "left": cover.left_count,
         "right": cover.right_count,
-        "edges": len(cover.edges),
+        "edges": cover.edge_count(),
     }
 
     degree_bound = max(3, cover.max_degree())

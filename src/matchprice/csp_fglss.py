@@ -366,8 +366,8 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
                 f"variable {variable}: sides {len(ones)}x{len(zeros)} do not match "
                 f"supplied graph {disp.left_count}x{disp.right_count}"
             )
-        for i, j in disp.edges:
-            a, b = ones[i], zeros[j]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        for i, a in enumerate(ones):
+            for j in bit_indices(disp.left_mask(i)):
+                adj[a] |= 1 << zeros[j]
+                adj[zeros[j]] |= 1 << a
     return Graph._from_masks(g.vertex_count, adj)

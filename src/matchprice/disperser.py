@@ -78,7 +78,7 @@ class DisperserGraph(BipartiteGraph):
     def __repr__(self):
         return (
             f"DisperserGraph({self.left_count}x{self.right_count}, "
-            f"m={len(self.edges)}, d={self.target_degree})"
+            f"m={self.edge_count()}, d={self.target_degree})"
         )
 
 
@@ -93,12 +93,14 @@ def random_disperser(n: int, d: int, seed: int) -> DisperserGraph:
     if not 1 <= d <= n:
         raise InputError(f"degree must satisfy 1 <= d <= n, got d={d}, n={n}")
     rng = random.Random(seed)
-    edges = []
+    adj = [0] * n
     for _ in range(d):
         partner = list(range(n))
         rng.shuffle(partner)
-        edges.extend((u, partner[u]) for u in range(n))
-    return DisperserGraph(n, n, edges, target_degree=d)
+        adj = [mask | 1 << w for mask, w in zip(adj, partner)]
+    disp = DisperserGraph._from_masks(n, n, adj)
+    disp.target_degree = d
+    return disp
 
 
 def verify_disperser(g: BipartiteGraph, gamma):

@@ -22,6 +22,9 @@ as its flattening (bipartite_to_graph): right w is vertex left_count + w,
 and an order of its lefts ranks every right after every left.  Each edge
 is then anchored at its left end, so for matching edges uv, u'v' with
 rank(u) < rank(u') the semi-induced rule forbids exactly the edge uv'.
+
+A graph is stored once, as neighbour bitmasks, and its edge set is derived on
+demand.  Edge lists are validated on input; derived graphs are built from masks.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ ALL_ORDERS = "all"
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1.  Immutable once built."""
+    """Undirected simple graph on vertices 0..n-1, stored as neighbour
+    masks only; edges are read off them.  Immutable once built."""
 
-    __slots__ = ("vertex_count", "edges", "_adj")
+    __slots__ = ("vertex_count", "_adj")
 
     def __init__(self, vertex_count: int, edges):
         if isinstance(vertex_count, bool) or vertex_count < 0:
             raise InputError(f"vertex_count must be a nonnegative integer, got {vertex_count!r}")
         self.vertex_count = vertex_count
         adj = [0] * vertex_count
-        seen = set()
         for edge in edges:
             u, w = edge
             if isinstance(u, bool) or isinstance(w, bool):
@@ -55,25 +58,26 @@ class Graph:
                 raise InputError(f"edge {edge} out of range for n={vertex_count}")
             if u == w:
                 raise InputError(f"loop at vertex {u}")
-            seen.add((min(u, w), max(u, w)))
             adj[u] |= 1 << w
             adj[w] |= 1 << u
-        self.edges = frozenset(seen)
         self._adj = tuple(adj)
 
     @classmethod
     def _from_masks(cls, vertex_count: int, adj) -> "Graph":
-        """The graph with neighbour masks adj, unchecked.  Precondition: the
-        masks are symmetric, loop-free, in range and derived from validated
-        objects: validated labels OR-ed into both endpoints with the own bit
-        cleared (fglss_build, disperser_replace), or a BipartiteGraph's side
-        masks renumbered (bipartite_to_graph)."""
+        """The graph with neighbour masks adj, unchecked: the masks are
+        symmetric, loop-free, in range and derived from validated objects
+        (fglss_build, disperser_replace, bipartite_to_graph)."""
         g = cls.__new__(cls)
         g.vertex_count = vertex_count
-        g.edges = frozenset([(u, u + 1 + i) for u, mask in enumerate(adj)
-                             for i in bit_indices(mask >> (u + 1))])
         g._adj = tuple(adj)
         return g
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(self.sorted_edges())
+
+    def edge_count(self) -> int:
+        return sum(mask.bit_count() for mask in self._adj) // 2
 
     def has_edge(self, u: int, w: int) -> bool:
         return (self._adj[u] >> w) & 1 == 1
@@ -85,20 +89,16 @@ class Graph:
         return max((m.bit_count() for m in self._adj), default=0)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, w) for u, mask in enumerate(self._adj) for w in bit_indices(mask) if w > u]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return hash(self._adj)
 
     def __repr__(self):
-        return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
+        return f"Graph(n={self.vertex_count}, m={self.edge_count()})"
 
     def to_json(self) -> dict:
         return {"n": self.vertex_count, "edges": [list(e) for e in self.sorted_edges()]}
@@ -117,33 +117,51 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class BipartiteGraph:
-    """Bipartite graph with sides 0..left-1 and 0..right-1; edges are (left, right)."""
+    """Bipartite graph with sides 0..left-1 and 0..right-1; edges are (left, right).
+    Stored as the neighbour masks of both sides; edges are read off the left."""
 
-    __slots__ = ("left_count", "right_count", "edges", "_left_adj", "_right_adj", "_flat_graph")
+    __slots__ = ("left_count", "right_count", "_left_adj", "_right_adj", "_flat_graph")
 
     def __init__(self, left_count: int, right_count: int, edges):
         if any(isinstance(c, bool) or c < 0 for c in (left_count, right_count)):
             raise InputError(
                 f"side sizes must be nonnegative integers, got {left_count!r} and {right_count!r}"
             )
-        self.left_count = left_count
-        self.right_count = right_count
         left_adj = [0] * left_count
-        right_adj = [0] * right_count
-        seen = set()
         for edge in edges:
             u, w = edge
             if isinstance(u, bool) or isinstance(w, bool):
                 raise InputError(f"edge {edge} endpoints must be integers")
             if not (0 <= u < left_count and 0 <= w < right_count):
                 raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
-            seen.add((u, w))
             left_adj[u] |= 1 << w
-            right_adj[w] |= 1 << u
-        self.edges = frozenset(seen)
+        self._set_masks(left_count, right_count, left_adj)
+
+    @classmethod
+    def _from_masks(cls, left_count: int, right_count: int, left_adj) -> "BipartiteGraph":
+        """The graph with left masks left_adj, unchecked: each mask lies below
+        1 << right_count, derived from a validated graph or sampled in range."""
+        g = cls.__new__(cls)
+        g._set_masks(left_count, right_count, left_adj)
+        return g
+
+    def _set_masks(self, left_count: int, right_count: int, left_adj) -> None:
+        right_adj = [0] * right_count
+        for u, mask in enumerate(left_adj):
+            for w in bit_indices(mask):
+                right_adj[w] |= 1 << u
+        self.left_count = left_count
+        self.right_count = right_count
         self._left_adj = tuple(left_adj)
         self._right_adj = tuple(right_adj)
         self._flat_graph = None
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(self.sorted_edges())
+
+    def edge_count(self) -> int:
+        return sum(mask.bit_count() for mask in self._left_adj)
 
     def has_edge(self, u: int, w: int) -> bool:
         return (self._left_adj[u] >> w) & 1 == 1
@@ -160,29 +178,25 @@ class BipartiteGraph:
         return self._right_adj[w].bit_count()
 
     def max_degree(self) -> int:
-        left = max((m.bit_count() for m in self._left_adj), default=0)
-        right = max((m.bit_count() for m in self._right_adj), default=0)
-        return max(left, right)
+        return max((m.bit_count() for m in self._left_adj + self._right_adj), default=0)
 
     def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.right_count, self.left_count, [(w, u) for u, w in self.edges])
+        return BipartiteGraph._from_masks(self.right_count, self.left_count, self._right_adj)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, w) for u, mask in enumerate(self._left_adj) for w in bit_indices(mask)]
 
     def __eq__(self, other):
         return (
             isinstance(other, BipartiteGraph)
-            and self.left_count == other.left_count
-            and self.right_count == other.right_count
-            and self.edges == other.edges
+            and (self.right_count, self._left_adj) == (other.right_count, other._left_adj)
         )
 
     def __hash__(self):
-        return hash((self.left_count, self.right_count, self.edges))
+        return hash((self.right_count, self._left_adj))
 
     def __repr__(self):
-        return f"BipartiteGraph({self.left_count}x{self.right_count}, m={len(self.edges)})"
+        return f"BipartiteGraph({self.left_count}x{self.right_count}, m={self.edge_count()})"
 
     def to_json(self) -> dict:
         return {
@@ -257,10 +271,9 @@ class VertexOrder:
     def from_sequence(cls, seq) -> "VertexOrder":
         """Build from a list of vertices in rank order."""
         seq = list(seq)
-        ranks = [0] * len(seq)
-        for position, v in enumerate(seq):
-            ranks[v] = position
-        return cls(ranks)
+        if sorted(seq) != list(range(len(seq))):
+            raise InputError("sequence must list each of the vertices 0..n-1 once")
+        return cls(sorted(range(len(seq)), key=seq.__getitem__))
 
     def rank(self, v: int) -> int:
         return self.ranks[v]
@@ -694,13 +707,10 @@ def bipartite_double_cover(g: Graph, include_same_vertex_edges: bool = False) ->
     well; they are what lets an independent set reappear as a matching of
     the cover.
     """
-    edges = []
-    for u, w in g.edges:
-        edges.append((u, w))
-        edges.append((w, u))
+    adj = g._adj
     if include_same_vertex_edges:
-        edges.extend((u, u) for u in range(g.vertex_count))
-    return BipartiteGraph(g.vertex_count, g.vertex_count, edges)
+        adj = [mask | (1 << u) for u, mask in enumerate(adj)]
+    return BipartiteGraph._from_masks(g.vertex_count, g.vertex_count, adj)
 
 
 def bipartite_to_graph(bg: BipartiteGraph) -> Graph:

@@ -122,10 +122,8 @@ def block_optima_bipartite(bg: BipartiteGraph, r: int) -> list[tuple[int, Matchi
     work = bg.transpose() if flipped else bg
     out = []
     for lefts in round_robin_blocks(work.left_count, r):
-        sub_edges = [
-            (i, w) for i, u in enumerate(lefts) for w in bit_indices(work.left_mask(u))
-        ]
-        sub = BipartiteGraph(len(lefts), work.right_count, sub_edges)
+        sub_masks = [work.left_mask(u) for u in lefts]
+        sub = BipartiteGraph._from_masks(len(lefts), work.right_count, sub_masks)
         size, sub_m = exact_bipartite_induced_matching(sub)
         if flipped:
             mapped = Matching(sorted((w, lefts[i]) for i, w in sub_m))
@@ -138,8 +136,10 @@ def block_optima_bipartite(bg: BipartiteGraph, r: int) -> list[tuple[int, Matchi
 
 def approx_induced_matching_bipartite(bg: BipartiteGraph, r: int) -> tuple[int, Matching]:
     """Best residue class of block_optima_bipartite: an induced matching of
-    size at least ceil(im(bg) / r).  Ties go to the lowest class index."""
-    return max(block_optima_bipartite(bg, r), key=lambda block: block[0])
+    size at least ceil(im(bg) / r).  Ties go to the lowest class index, and
+    classes past the smaller side are empty, so those are not scanned."""
+    side = max(min(bg.left_count, bg.right_count), 1)
+    return max(block_optima_bipartite(bg, min(r, side)), key=lambda block: block[0])
 
 
 def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
@@ -180,5 +180,6 @@ def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
 
 def approx_induced_matching_general(g: Graph, r: int) -> tuple[int, Matching]:
     """Best residue class of block_optima_general: an induced matching of
-    size at least ceil(im(g) / r).  Ties go to the lowest class index."""
-    return max(block_optima_general(g, r), key=lambda block: block[0])
+    size at least ceil(im(g) / r).  Ties go to the lowest class index, and
+    classes past the last vertex are empty, so those are not scanned."""
+    return max(block_optima_general(g, min(r, max(g.vertex_count, 1))), key=lambda block: block[0])

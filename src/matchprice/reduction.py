@@ -13,13 +13,15 @@ greedy in reverse order plus a cross-class sweep turns the nominations into
 a semi-induced matching for the color-based order.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 import math
 import random
 
 from .errors import InputError
-from .graphs import BipartiteGraph, Matching, VertexOrder, is_induced_matching, is_semi_induced_matching
+from .graphs import BipartiteGraph, Matching, VertexOrder, bit_indices
+from .graphs import is_induced_matching, is_semi_induced_matching
 from .pricing import (
     SMP,
     UDP,
@@ -88,24 +90,12 @@ def congestion_filter(g: BipartiteGraph, coloring: Coloring, d: int):
     cutoff = congestion_threshold(d)
     high = []
     for v in range(g.right_count):
-        counts = {}
-        mask = g.right_mask(v)
-        u = 0
-        while mask:
-            if mask & 1:
-                c = coloring[u]
-                counts[c] = counts.get(c, 0) + 1
-            mask >>= 1
-            u += 1
-        if counts and max(counts.values()) >= cutoff:
+        counts = Counter(coloring[u] for u in bit_indices(g.right_mask(v)))
+        if max(counts.values(), default=0) >= cutoff:
             high.append(v)
-    removed = set(high)
-    pruned = BipartiteGraph(
-        g.left_count,
-        g.right_count,
-        [(u, v) for u, v in g.edges if v not in removed],
-    )
-    return tuple(high), pruned
+    kept = ~sum(1 << v for v in high)
+    left_adj = [g.left_mask(u) & kept for u in range(g.left_count)]
+    return tuple(high), BipartiteGraph._from_masks(g.left_count, g.right_count, left_adj)
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,7 @@ def build_pricing_instance(gprime: BipartiteGraph, coloring: Coloring, d: int) -
         mask = gprime.left_mask(u)
         if not mask:
             continue
-        bundle = frozenset(item_of[v] for v in range(gprime.right_count) if (mask >> v) & 1)
+        bundle = frozenset(item_of[v] for v in bit_indices(mask))
         i = coloring[u]
         scale = d ** (3 * i)
         group_of[u] = len(groups)

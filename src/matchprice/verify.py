@@ -71,7 +71,7 @@ def _bounded_bipartite(rng, max_side=6, max_degree=None):
         left = rng.randrange(1, max_side + 1)
         right = rng.randrange(1, max_side + 1)
         g = random_bipartite(left, right, rng.random() * 0.5, seed=rng.randrange(10**6))
-        if not g.edges:
+        if not g.edge_count():
             continue
         if max_degree is not None and g.max_degree() > max_degree:
             continue

@@ -7,10 +7,13 @@ subset enumeration, which is implemented independently here.
 
 import random
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from matchprice import caps
+from matchprice import caps, matching_solvers
 from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     ALL_ORDERS,
@@ -32,6 +35,8 @@ from matchprice.graphs import (
     random_bipartite,
     random_graph,
 )
+from matchprice.matching_solvers import block_optima_bipartite, round_robin_blocks
+from matchprice.reduction import Coloring, congestion_filter, congestion_threshold
 
 
 def degree(g, v):
@@ -121,6 +126,13 @@ def test_vertex_order_round_trip():
     assert order.sequence() == [2, 0, 1]
     with pytest.raises(InputError):
         VertexOrder([0, 0, 1])
+
+
+def test_vertex_order_from_sequence_needs_a_permutation():
+    assert VertexOrder.from_sequence([]).ranks == ()
+    for seq in ([0, 0], [1, 1, 0], [0, 2], [1]):
+        with pytest.raises(InputError):
+            VertexOrder.from_sequence(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +504,102 @@ def test_bipartite_to_graph_equals_validated_construction():
                 assert got.vertex_count == want.vertex_count
                 assert got.edges == want.edges
                 assert got._adj == want._adj
+
+
+# ---------------------------------------------------------------------------
+# the mask representation against validated edge lists
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, pairs, left, right, bipartite pairs, colours, r): a general edge
+    list on n vertices with repeats and both orientations; a bipartite one
+    drawn as left rows of neighbour bits, so that dense rights occur, then
+    shuffled with repeats; two-colour left colours and a class count."""
+    n = draw(st.integers(0, 9))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
+    left = draw(st.integers(0, 12))
+    right = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.integers(0, 2**right - 1), min_size=left, max_size=left))
+    bip_pairs = [(u, w) for u, row in enumerate(rows) for w in range(right) if row >> w & 1]
+    if bip_pairs:
+        repeats = draw(st.lists(st.sampled_from(bip_pairs), max_size=10))
+        bip_pairs = draw(st.permutations(bip_pairs + repeats))
+    colours = draw(st.lists(st.integers(1, 2), min_size=left, max_size=left))
+    return n, pairs, left, right, bip_pairs, colours, draw(st.integers(1, 4))
+
+
+def assert_same_graph(got, want):
+    """Equal, equal hashes, and (for bipartite graphs) equal right masks."""
+    assert got == want
+    assert hash(got) == hash(want)
+    if isinstance(want, BipartiteGraph):
+        assert got._right_adj == want._right_adj
+
+
+@settings(max_examples=80, deadline=2000)
+@given(edge_lists())
+@example(  # right 0 has 9 = T(16) neighbours of colour 1, so the filter drops it
+    (3, [(0, 1), (1, 0), (2, 1)], 10, 3,
+     [(u, 0) for u in range(10)] + [(u, 1) for u in range(0, 10, 2)] + [(0, 0)], [1] * 9 + [2], 3)
+)
+def test_masks_match_the_validated_edge_list(case):
+    n, pairs, left, right, bip_pairs, colours, r = case
+
+    g = Graph(n, pairs)
+    assert g.edges == {(min(u, w), max(u, w)) for u, w in pairs}
+    assert g.sorted_edges() == sorted(g.edges)
+    assert g.edge_count() == len(g.edges)
+    assert_same_graph(Graph.from_json(g.to_json()), g)
+    assert_same_graph(Graph(n, [(w, u) for u, w in reversed(pairs)]), g)
+    both_ways = [e for u, w in g.edges for e in ((u, w), (w, u))]
+    assert_same_graph(bipartite_double_cover(g), BipartiteGraph(n, n, both_ways))
+    assert_same_graph(
+        bipartite_double_cover(g, include_same_vertex_edges=True),
+        BipartiteGraph(n, n, both_ways + [(v, v) for v in range(n)]),
+    )
+
+    bg = BipartiteGraph(left, right, bip_pairs)
+    assert bg.edges == set(bip_pairs)
+    assert bg.sorted_edges() == sorted(bg.edges)
+    assert bg.edge_count() == len(bg.edges)
+    assert_same_graph(BipartiteGraph.from_json(bg.to_json()), bg)
+    assert_same_graph(BipartiteGraph(left, right, reversed(bip_pairs)), bg)
+    assert_same_graph(bg.transpose(), BipartiteGraph(right, left, [(w, u) for u, w in bip_pairs]))
+    assert_same_graph(bg.transpose().transpose(), bg)
+    assert_same_graph(
+        bipartite_to_graph(bg), Graph(left + right, [(u, left + w) for u, w in bip_pairs])
+    )
+
+    # congestion filter, with the crowded rights counted here edge by edge
+    d = 16
+    crowded = tuple(
+        w for w in range(right)
+        if max([sum(1 for u, x in bg.edges if x == w and colours[u] == c) for c in (1, 2)])
+        >= congestion_threshold(d)
+    )
+    high, pruned = congestion_filter(bg, Coloring(colours, d), d)
+    assert high == crowded
+    assert_same_graph(
+        pruned, BipartiteGraph(left, right, [(u, w) for u, w in bip_pairs if w not in crowded])
+    )
+
+    # the residue-class subgraphs the r-block approximation solves
+    flipped = right < left
+    work_edges = [(w, u) for u, w in bg.edges] if flipped else bg.edges
+    classes = round_robin_blocks(right if flipped else left, r)
+    with mock.patch.object(
+        matching_solvers,
+        "exact_bipartite_induced_matching",
+        wraps=matching_solvers.exact_bipartite_induced_matching,
+    ) as solve:
+        block_optima_bipartite(bg, r)
+    assert len(solve.call_args_list) == len(classes)
+    for lefts, call in zip(classes, solve.call_args_list):
+        want = BipartiteGraph(
+            len(lefts),
+            left if flipped else right,
+            [(i, w) for i, u in enumerate(lefts) for x, w in work_edges if x == u],
+        )
+        assert_same_graph(call.args[0], want)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from matchprice import caps
+from matchprice import caps, matching_solvers
 from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     BipartiteGraph,
@@ -169,3 +169,31 @@ def test_exact_moderate_dense_instance():
     oracle_size, _ = max_induced_matching_bruteforce(bg)
     assert size == oracle_size
     assert is_induced_matching(bg, m)
+
+
+def test_approx_scans_no_class_past_the_side(monkeypatch):
+    # r past the scanned side only adds empty classes; the answer is that of
+    # the full length-r class list, from at most max(side, 1) classes
+    scanned = []
+
+    def recording_blocks(n, r):
+        scanned.append(r)
+        return round_robin_blocks(n, r)
+
+    monkeypatch.setattr(matching_solvers, "round_robin_blocks", recording_blocks)
+    rng = random.Random(6029)
+    for _ in range(12):
+        bg = random_bipartite(rng.randrange(0, 7), rng.randrange(0, 7), 0.5, rng.randrange(10**6))
+        g = random_graph(rng.randrange(0, 7), 0.5, rng.randrange(10**6))
+        for graph, side, approx, blocks in (
+            (bg, min(bg.left_count, bg.right_count),
+             approx_induced_matching_bipartite, block_optima_bipartite),
+            (g, g.vertex_count, approx_induced_matching_general, block_optima_general),
+        ):
+            for r in (side, side + 3, 1000):
+                if r < 1:
+                    continue
+                want = max(blocks(graph, r), key=lambda block: block[0])
+                scanned.clear()
+                assert approx(graph, r) == want
+                assert scanned == [min(r, max(side, 1))]
