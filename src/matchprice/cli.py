@@ -2,11 +2,17 @@
 
 Conventions shared by every subcommand:
 
-- data artifacts (graphs, CSPs, instances, prices, witnesses) are written to
-  ``--out`` in the documented bare JSON shapes; ``--out -`` streams the
-  artifact to stdout and suppresses the run report;
-- otherwise a run report goes to stdout, embedding the command name, the
-  seed (null for unseeded commands), the active caps, and package versions;
+- each handler returns (exit code, artifact, report) and writes nothing;
+  ``main`` passes them to ``emit``, the one output path. The artifact (a
+  graph, CSP, instance, price vector or witness, in its documented bare
+  JSON shape) goes to ``--out``; commands that make none (``disperser
+  verify``, ``disperser check-lemma``, ``pipeline run``, ``verify all``)
+  send their report there instead. ``-`` or no ``--out`` means stdout, and
+  the report goes to stdout unless stdout already holds the artifact, so
+  ``--out -`` leaves one JSON document there. Only ``reduce --provenance``,
+  a second artifact, is written by its handler;
+- a report embeds the command name, the seed (null for unseeded
+  commands), the active caps, and package versions;
 - exit codes: 0 success, 1 a checked property does not hold, 2 bad input or
   usage, 3 a resource cap refused the computation;
 - stage seeds derive from the global ``--seed`` as seed XOR sha256(stage),
@@ -102,25 +108,24 @@ def write_json(path, obj) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def emit(args, artifact, report) -> None:
-    """Write the artifact to --out and the report to stdout.
-
-    With --out - the artifact itself goes to stdout and the report is
-    suppressed, keeping the stream a single well-formed JSON document.
-    """
-    out = getattr(args, "out", None)
-    if artifact is not None and out is not None:
-        write_json(out, artifact)
-        if out == "-":
-            return
-    if report is not None:
+def emit(out, artifact, report) -> None:
+    """Write the artifact to out and the report to stdout, or the report to
+    out when there is no artifact; None or "-" means stdout, which then
+    holds the artifact alone."""
+    if artifact is None:
+        write_json(out, report)
+        return
+    write_json(out, artifact)
+    if out not in (None, "-"):
         write_json(None, report)
 
 
-def report_for(command: str, seed, **payload) -> dict:
+def report_for(args, **payload) -> dict:
+    """The run report of the parsed command: its words, its --seed (None
+    where it takes none), the caps and the package version."""
     return {
-        "command": command,
-        "seed": seed,
+        "command": f"{args.command} {args.subcommand}",
+        "seed": getattr(args, "seed", None),
         "caps": caps.snapshot(),
         "versions": {"matchprice": __version__},
         **payload,
@@ -151,52 +156,36 @@ def load_conflict_graph(path: str):
 # csp
 
 
-def cmd_csp_gen(args) -> int:
+def cmd_csp_gen(args):
     maker = random_balanced_csp if args.balanced else random_csp
     instance = maker(args.num_vars, args.num_clauses, args.arity, args.seed)
-    report = report_for(
-        "csp gen",
-        args.seed,
+    return 0, instance.to_json(), report_for(
+        args,
         num_vars=instance.num_vars,
         num_clauses=len(instance.clauses),
         arity=args.arity,
         balanced=bool(args.balanced),
     )
-    emit(args, instance.to_json(), report)
-    return 0
 
 
-def cmd_csp_amplify(args) -> int:
-    instance = load_csp(args.input)
-    amplified = gap_amplify(instance, args.t, args.m_out, args.seed)
-    report = report_for(
-        "csp amplify",
-        args.seed,
-        t=args.t,
-        m_out=args.m_out,
-        num_clauses=len(amplified.clauses),
+def cmd_csp_amplify(args):
+    amplified = gap_amplify(load_csp(args.input), args.t, args.m_out, args.seed)
+    return 0, amplified.to_json(), report_for(
+        args, t=args.t, m_out=args.m_out, num_clauses=len(amplified.clauses)
     )
-    emit(args, amplified.to_json(), report)
-    return 0
 
 
-def cmd_csp_duplicate(args) -> int:
-    instance = load_csp(args.input)
-    duplicated = duplicate_clauses(instance, args.copies)
-    report = report_for(
-        "csp duplicate", None, copies=args.copies, num_clauses=len(duplicated.clauses)
+def cmd_csp_duplicate(args):
+    duplicated = duplicate_clauses(load_csp(args.input), args.copies)
+    return 0, duplicated.to_json(), report_for(
+        args, copies=args.copies, num_clauses=len(duplicated.clauses)
     )
-    emit(args, duplicated.to_json(), report)
-    return 0
 
 
-def cmd_csp_fglss(args) -> int:
-    instance = load_csp(args.input)
-    graph, labels = fglss_build(instance)
+def cmd_csp_fglss(args):
+    graph, labels = fglss_build(load_csp(args.input))
     artifact = {"graph": graph.to_json(), "labels": [list(label) for label in labels]}
-    report = report_for("csp fglss", None, vertices=graph.vertex_count, edges=graph.edge_count())
-    emit(args, artifact, report)
-    return 0
+    return 0, artifact, report_for(args, vertices=graph.vertex_count, edges=graph.edge_count())
 
 
 def make_disperser_supplier(degree: int, seed: int):
@@ -212,71 +201,56 @@ def make_disperser_supplier(degree: int, seed: int):
     return supplier
 
 
-def cmd_csp_replace(args) -> int:
+def cmd_csp_replace(args):
     instance = load_csp(args.input)
     graph, labels = load_conflict_graph(args.graph)
     supplier = make_disperser_supplier(args.d, args.seed)
     replaced = disperser_replace(graph, labels, instance, supplier)
     artifact = {"graph": replaced.to_json(), "labels": [list(label) for label in labels]}
-    report = report_for(
-        "csp replace",
-        args.seed,
+    return 0, artifact, report_for(
+        args,
         gamma=args.gamma,
         d=args.d,
         edges_before=graph.edge_count(),
         edges_after=replaced.edge_count(),
     )
-    emit(args, artifact, report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # disperser
 
 
-def cmd_disperser_gen(args) -> int:
+def cmd_disperser_gen(args):
     graph = random_disperser(args.n, args.d, args.seed)
     verified, violation = verify_disperser(graph, args.gamma)
-    report = report_for(
-        "disperser gen",
-        args.seed,
-        n=args.n,
-        d=args.d,
-        gamma=args.gamma,
-        verified=verified,
-        violation=violation,
+    return int(not verified), graph.to_json(), report_for(
+        args, n=args.n, d=args.d, gamma=args.gamma, verified=verified, violation=violation
     )
-    emit(args, graph.to_json(), report)
-    return 0 if verified else 1
 
 
-def cmd_disperser_verify(args) -> int:
+def cmd_disperser_verify(args):
     graph = load_graph_json(read_json(args.input))
     if not isinstance(graph, BipartiteGraph):
         raise InputError("disperser verification needs a bipartite graph")
     verified, violation = verify_disperser(graph, args.gamma)
-    report = report_for(
-        "disperser verify", None, gamma=args.gamma, verified=verified, violation=violation
+    return int(not verified), None, report_for(
+        args, gamma=args.gamma, verified=verified, violation=violation
     )
-    emit(args, None, report)
-    return 0 if verified else 1
 
 
-def cmd_disperser_check_lemma(args) -> int:
+def cmd_disperser_check_lemma(args):
     graph = load_graph_json(read_json(args.input))
     if not isinstance(graph, BipartiteGraph):
         raise InputError("the lemma check needs a bipartite graph")
     result = check_disperser_lemma(graph, args.gamma, seed=args.seed, samples=args.samples)
-    report = report_for("disperser check-lemma", args.seed, **result)
-    emit(args, None, report)
-    return 0 if result["ok"] else 1
+    return int(not result["ok"]), None, report_for(args, **result)
 
 
 # ---------------------------------------------------------------------------
 # graph
 
 
-def cmd_graph_gen(args) -> int:
+def cmd_graph_gen(args):
     bipartite = args.left is not None or args.right is not None
     if bipartite and args.n is not None:
         raise InputError("give either --n or --left/--right, not both")
@@ -288,33 +262,28 @@ def cmd_graph_gen(args) -> int:
         graph = random_graph(args.n, args.p, args.seed)
     else:
         raise InputError("give --n for a graph or --left/--right for a bipartite one")
-    report = report_for("graph gen", args.seed, bipartite=bipartite, edges=graph.edge_count())
-    emit(args, graph.to_json(), report)
-    return 0
+    return 0, graph.to_json(), report_for(args, bipartite=bipartite, edges=graph.edge_count())
 
 
-def cmd_graph_cover(args) -> int:
+def cmd_graph_cover(args):
     graph = load_graph_json(read_json(args.input))
     if not isinstance(graph, Graph):
         raise InputError("the double cover takes a general graph")
     cover = bipartite_double_cover(graph, include_same_vertex_edges=args.same_vertex_edges)
-    report = report_for(
-        "graph cover",
-        None,
+    return 0, cover.to_json(), report_for(
+        args,
         same_vertex_edges=bool(args.same_vertex_edges),
         left=cover.left_count,
         right=cover.right_count,
         edges=cover.edge_count(),
     )
-    emit(args, cover.to_json(), report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def cmd_solve_matching(args) -> int:
+def cmd_solve_matching(args):
     graph = load_graph_json(read_json(args.input))
     if args.algo == "exact":
         if isinstance(graph, BipartiteGraph):
@@ -327,9 +296,7 @@ def cmd_solve_matching(args) -> int:
         else:
             size, matching = approx_induced_matching_general(graph, args.r)
     artifact = {"size": size, "pairs": [list(pair) for pair in matching]}
-    report = report_for("solve matching", None, algo=args.algo, r=args.r, size=size)
-    emit(args, artifact, report)
-    return 0
+    return 0, artifact, report_for(args, algo=args.algo, r=args.r, size=size)
 
 
 def solve_pricing_instance(instance, rule: str, algo: str, alpha, delta):
@@ -343,52 +310,46 @@ def solve_pricing_instance(instance, rule: str, algo: str, alpha, delta):
     return approximation_scheme(instance, rule, delta, alpha)
 
 
-def cmd_solve_pricing(args) -> int:
+def cmd_solve_pricing(args):
     instance, stored_rule = instance_from_json(read_json(args.input))
     rule = check_rule(args.rule) if args.rule else stored_rule
     revenue, prices = solve_pricing_instance(instance, rule, args.algo, args.alpha, args.delta)
-    report = report_for(
-        "solve pricing",
-        None,
+    return 0, prices.to_json(), report_for(
+        args,
         algo=args.algo,
         rule=rule,
         revenue=revenue,
         alpha=args.alpha if args.algo in ("geometric", "scheme") else None,
         delta=args.delta if args.algo == "scheme" else None,
     )
-    emit(args, prices.to_json(), report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # reduce
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     graph = load_graph_json(read_json(args.input))
     if not isinstance(graph, BipartiteGraph):
         raise InputError("the reduction takes a bipartite graph")
     out = reduce_full(graph, args.d, args.seed, args.rule)
     if args.provenance is not None:
         write_json(args.provenance, out.to_json())
-    report = report_for(
-        "reduce matching-to-pricing",
-        args.seed,
+    return 0, instance_to_json(out.instance, args.rule), report_for(
+        args,
         d=args.d,
         rule=args.rule,
         items=out.instance.item_count,
         groups=len(out.instance.groups),
         removed_rights=list(out.removed_rights),
     )
-    emit(args, instance_to_json(out.instance, args.rule), report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     stages = {}
     instance = load_csp(args.csp)
     if not instance.clauses:
@@ -455,25 +416,16 @@ def cmd_pipeline(args) -> int:
     }
 
     gap = Fraction(revenue) / max(1, len(matching)) if revenue else Fraction(0)
-    report = report_for(
-        "pipeline run",
-        args.seed,
-        gamma=args.gamma,
-        stages=stages,
-        gap=gap,
-    )
-    write_json(args.out, report)
-    return 0
+    return 0, None, report_for(args, gamma=args.gamma, stages=stages, gap=gap)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     report = run_all(args.scale, args.seed)
-    write_json(args.out, report)
-    return 0 if report["ok"] else 1
+    return int(not report["ok"]), None, report
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +592,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         caps.snapshot()  # reads every cap override, so a bad one stops the command up front
-        return args.handler(args)
+        code, artifact, report = args.handler(args)
+        emit(getattr(args, "out", None), artifact, report)
+        return code
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -138,18 +138,22 @@ class BipartiteGraph:
         self._set_masks(left_count, right_count, left_adj)
 
     @classmethod
-    def _from_masks(cls, left_count: int, right_count: int, left_adj) -> "BipartiteGraph":
+    def _from_masks(
+        cls, left_count: int, right_count: int, left_adj, right_adj=None
+    ) -> "BipartiteGraph":
         """The graph with left masks left_adj, unchecked: each mask lies below
-        1 << right_count, derived from a validated graph or sampled in range."""
+        1 << right_count, derived from a validated graph or sampled in range.
+        right_adj, when the caller has it, must be the transpose of left_adj."""
         g = cls.__new__(cls)
-        g._set_masks(left_count, right_count, left_adj)
+        g._set_masks(left_count, right_count, left_adj, right_adj)
         return g
 
-    def _set_masks(self, left_count: int, right_count: int, left_adj) -> None:
-        right_adj = [0] * right_count
-        for u, mask in enumerate(left_adj):
-            for w in bit_indices(mask):
-                right_adj[w] |= 1 << u
+    def _set_masks(self, left_count: int, right_count: int, left_adj, right_adj=None) -> None:
+        if right_adj is None:
+            right_adj = [0] * right_count
+            for u, mask in enumerate(left_adj):
+                for w in bit_indices(mask):
+                    right_adj[w] |= 1 << u
         self.left_count = left_count
         self.right_count = right_count
         self._left_adj = tuple(left_adj)
@@ -181,7 +185,9 @@ class BipartiteGraph:
         return max((m.bit_count() for m in self._left_adj + self._right_adj), default=0)
 
     def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph._from_masks(self.right_count, self.left_count, self._right_adj)
+        return BipartiteGraph._from_masks(
+            self.right_count, self.left_count, self._right_adj, self._left_adj
+        )
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, mask in enumerate(self._left_adj) for w in bit_indices(mask)]
@@ -215,6 +221,8 @@ class BipartiteGraph:
 
 def load_graph_json(obj: dict):
     """Dispatch on the json shape: {"n", ...} or {"left", "right", ...}."""
+    if not isinstance(obj, dict):
+        raise InputError("json object is neither a graph nor a bipartite graph")
     if "n" in obj:
         return Graph.from_json(obj)
     if "left" in obj:
@@ -709,8 +717,9 @@ def bipartite_double_cover(g: Graph, include_same_vertex_edges: bool = False) ->
     """
     adj = g._adj
     if include_same_vertex_edges:
-        adj = [mask | (1 << u) for u, mask in enumerate(adj)]
-    return BipartiteGraph._from_masks(g.vertex_count, g.vertex_count, adj)
+        adj = tuple(mask | (1 << u) for u, mask in enumerate(adj))
+    # g's masks are symmetric, so the cover's right masks equal its left ones
+    return BipartiteGraph._from_masks(g.vertex_count, g.vertex_count, adj, adj)
 
 
 def bipartite_to_graph(bg: BipartiteGraph) -> Graph:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import matchprice
-from matchprice.cli import main
+from matchprice.cli import dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
 
@@ -217,6 +217,70 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+ROUTING_INPUTS = {
+    "csp": {"num_vars": 2, "clauses": [{"vars": [0, 1], "satisfying": ["01", "10"]},
+                                       {"vars": [0, 1], "satisfying": ["00", "11"]}]},
+    "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    "bipartite": {"left": 3, "right": 3, "edges": [[0, 0], [0, 1], [1, 1], [2, 2]]},
+    "complete": {"left": 6, "right": 6, "edges": [[u, w] for u in range(6) for w in range(6)]},
+}
+
+
+# (argv, --seed given, what --out receives: "artifact", "report" or None for no --out)
+ROUTING_CASES = [
+    (["csp", "gen", "--num-vars", "3", "--num-clauses", "2", "--arity", "2", "--seed", "3"],
+     3, "artifact"),
+    (["csp", "amplify", "--input", "{csp}", "--t", "2", "--m-out", "2", "--seed", "3"],
+     3, "artifact"),
+    (["csp", "duplicate", "--input", "{csp}", "--copies", "2"], None, "artifact"),
+    (["csp", "fglss", "--input", "{csp}"], None, "artifact"),
+    (["csp", "replace", "--input", "{csp}", "--graph", "{fglss}", "--gamma", "1/2",
+      "--d", "2", "--seed", "3"], 3, "artifact"),
+    (["disperser", "gen", "--n", "4", "--d", "4", "--gamma", "1/2", "--seed", "3"],
+     3, "artifact"),
+    (["disperser", "verify", "--input", "{complete}", "--gamma", "1/3"], None, None),
+    (["disperser", "check-lemma", "--input", "{complete}", "--gamma", "1/3", "--seed", "3"],
+     3, None),
+    (["graph", "gen", "--n", "5", "--p", "0.5", "--seed", "3"], 3, "artifact"),
+    (["graph", "cover", "--input", "{graph}"], None, "artifact"),
+    (["solve", "matching", "--algo", "exact", "--input", "{bipartite}"], None, "artifact"),
+    (["solve", "pricing", "--algo", "oracle", "--input", "{pricing}"], None, "artifact"),
+    (["reduce", "matching-to-pricing", "--d", "3", "--seed", "3", "--input", "{bipartite}"],
+     3, "artifact"),
+    (["pipeline", "run", "--csp", "{csp}", "--t", "1", "--gamma", "1/2", "--d", "2",
+      "--seed", "3"], 3, "report"),
+    (["verify", "all", "--seed", "3"], 3, "report"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, seed, out", ROUTING_CASES, ids=["-".join(case[0][:2]) for case in ROUTING_CASES]
+)
+def test_every_command_reports_its_words_and_seed(tmp_path, capsys, argv, seed, out):
+    paths = {"pricing": resources.files("matchprice") / "data" / "two_consumer_smp.json"}
+    for name, obj in ROUTING_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    paths["fglss"] = tmp_path / "fglss.json"
+    assert run(capsys, "csp", "fglss", "--input", str(paths["csp"]),
+               "--out", str(paths["fglss"]))[0] == 0
+    argv = [arg.format(**paths) for arg in argv]
+    artifact = tmp_path / "artifact.json"
+
+    code, stdout = run(capsys, *argv, *(["--out", str(artifact)] if out == "artifact" else []))
+    assert code == 0
+    report = json.loads(stdout)
+    # verify all writes run_all's own report, which names no command
+    assert report.get("command") == (None if argv[0] == "verify" else " ".join(argv[:2]))
+    assert report["seed"] == seed
+
+    if out is not None:
+        code, stdout = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        json.loads(stdout)  # exactly one document
+        assert stdout == (artifact.read_text() if out == "artifact" else dumps(report))
+
+
 def run_cli(*argv, module="matchprice.cli", **environ):
     """The CLI as a subprocess, with extra environment variables."""
     src = str(Path(matchprice.__file__).resolve().parents[1])
@@ -279,11 +343,16 @@ MALFORMED_FILES = {
     "disperser_float_degree": {
         "left": 2, "right": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]], "target_degree": 2.9,
     },
+    "graph_int": 5,
+    "graph_null": None,
+    "graph_true": True,
+    "graph_string": "n",
 }
 
 REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
 PIPELINE = ["pipeline", "run", "--t", "1", "--gamma", "1/3", "--d", "2", "--csp"]
 ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
+NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
 
 
 @pytest.mark.parametrize(
@@ -330,6 +399,12 @@ ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
          "multiplicity must be a positive integer, got '+2'"),
         (["disperser", "check-lemma", "--gamma", "1/2", "--input", "{disperser_float_degree}"],
          "target_degree must be an integer, got 2.9"),
+        (["graph", "cover", "--input", "{graph_int}"], NOT_A_GRAPH),
+        (["solve", "matching", "--algo", "exact", "--input", "{graph_null}"], NOT_A_GRAPH),
+        (["disperser", "verify", "--gamma", "1/2", "--input", "{graph_true}"], NOT_A_GRAPH),
+        (["disperser", "check-lemma", "--gamma", "1/2", "--input", "{graph_string}"],
+         NOT_A_GRAPH),
+        (["reduce", "matching-to-pricing", "--d", "3", "--input", "{graph_int}"], NOT_A_GRAPH),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -338,7 +413,8 @@ ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
          "disperser-bool-endpoint", "csp-bool-variable", "csp-bool-num-vars",
          "pricing-bool-items", "csp-float-num-vars", "csp-whole-float-num-vars",
          "csp-no-clauses", "pricing-float-multiplicity", "pricing-bool-multiplicity",
-         "pricing-signed-multiplicity", "disperser-float-degree"],
+         "pricing-signed-multiplicity", "disperser-float-degree", "graph-int-cover",
+         "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
