@@ -6,7 +6,10 @@ The exact routine rests on a good-neighbour characterisation: a left set U'
 is saturated by some induced matching iff every u in U' has a neighbour
 adjacent to no other member of U'.  Such sets are downward closed, so a
 depth-first scan over subsets of the smaller side can prune the moment a
-partial set loses the property.
+partial set loses the property, and Östergård's max-clique scheme (2002)
+bounds it: sweeping the start index down from the last vertex, it records
+the largest valid set within each suffix and cuts any branch that the
+suffix it still draws from cannot complete.
 
 The approximation algorithms split one side (bipartite: the smaller side;
 general: all vertices) into r round-robin residue classes and solve each
@@ -44,17 +47,30 @@ def round_robin_blocks(n: int, r: int) -> list[list[int]]:
 def _scan_side_maximum(masks: list[int]) -> list[int]:
     """Largest subset S of indices such that every i in S has a bit of
     masks[i] outside the union of the other chosen masks; among maximum
-    subsets, the lexicographically least.  Masks may be arbitrarily wide."""
-    n = len(masks)
-    best: list[int] = []
+    subsets, the lexicographically least.  Masks may be arbitrarily wide.
 
-    def rec(start: int, chosen: list[int], privates: list[int], union_mask: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
+    The property is hereditary, so Östergård's suffix bound applies:
+    bound[j] is the size of the largest valid subset of indices j..n-1.  A
+    sweep from i = n-1 down to 0 asks only whether some valid set has least
+    index i and bound[i+1] + 1 members, stops at the first one, and cuts a
+    branch at index j once bound[j] falls below the members still needed.
+    Searches run in index order, so each finds the least set it asks for.
+    Every maximum subset starts at or before the index k where the bound
+    last grew, and the sweep's step at k found the least one starting
+    there; a search for bound[0] members from each index before k in turn
+    finds any lesser one."""
+    n = len(masks)
+    bound = [0] * (n + 1)
+
+    def extend(start: int, chosen: list[int], privates: list[int], union_mask: int, need: int) -> bool:
+        # add `need` indices from start on to chosen, leaving them in place
+        # on success; every chosen mask keeps a private bit (privates[k] is
+        # what is left of chosen[k]'s)
+        if not need:
+            return True
         for i in range(start, n):
-            if len(chosen) + (n - i) <= len(best):
-                break
+            if bound[i] < need:
+                return False
             m = masks[i]
             fresh = m & ~union_mask
             if not fresh:
@@ -71,11 +87,29 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
                 continue
             chosen.append(i)
             shrunk.append(fresh)
-            rec(i + 1, chosen, shrunk, union_mask | m)
+            if extend(i + 1, chosen, shrunk, union_mask | m, need - 1):
+                return True
             chosen.pop()
+        return False
 
-    rec(0, [], [], 0)
-    return best
+    def starting_at(i: int, size: int) -> list[int] | None:
+        # a zero mask has no private bit, so it never starts a set
+        m = masks[i]
+        chosen = [i]
+        return chosen if m and extend(i + 1, chosen, [m], m, size - 1) else None
+
+    top: list[int] = []
+    for i in range(n - 1, -1, -1):
+        hit = starting_at(i, bound[i + 1] + 1)
+        if hit:
+            bound[i], top = len(hit), hit
+        else:
+            bound[i] = bound[i + 1]
+    for i in range(top[0] if top else 0):
+        hit = starting_at(i, bound[0])
+        if hit:
+            return hit
+    return top
 
 
 def exact_bipartite_induced_matching(bg: BipartiteGraph) -> tuple[int, Matching]:

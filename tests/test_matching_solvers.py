@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     BipartiteGraph,
     Graph,
+    Matching,
     is_induced_matching,
     max_induced_matching_bruteforce,
     random_bipartite,
@@ -80,6 +82,52 @@ def test_exact_transposes_wide_graphs():
     assert exact_bipartite_induced_matching(wide)[0] == exact_bipartite_induced_matching(tall)[0]
     size, m = exact_bipartite_induced_matching(wide)
     assert is_induced_matching(wide, m)
+
+
+def brute_force_witness(bg):
+    """Try every subset of the smaller side, largest first and each size in
+    lexicographic order: the first whose members each keep a private
+    neighbour, each paired with its least-index private neighbour."""
+    flipped = bg.right_count < bg.left_count
+    side = bg.right_count if flipped else bg.left_count
+    nbrs = [bg.right_mask(v) if flipped else bg.left_mask(v) for v in range(side)]
+    for size in range(side, -1, -1):
+        for subset in combinations(range(side), size):
+            pairs = []
+            for i in subset:
+                private = nbrs[i]
+                for j in subset:
+                    if j != i:
+                        private &= ~nbrs[j]
+                if not private:
+                    break
+                v = bit_indices(private)[0]
+                pairs.append((v, i) if flipped else (i, v))
+            else:
+                return size, Matching(sorted(pairs))
+
+
+def test_exact_returns_least_maximum_set_and_least_privates():
+    rng = random.Random(2002)
+    graphs = [
+        BipartiteGraph(6, 5, []),
+        # lefts 0, 2 and 5 are isolated: none of them may enter the witness
+        BipartiteGraph(6, 7, [(1, 0), (1, 1), (3, 1), (3, 2), (4, 3)]),
+        BipartiteGraph(8, 8, product(range(8), range(8))),
+        # 13 lefts and 5 rights: the scan runs over the rights
+        random_bipartite(5, 13, 0.3, seed=6).transpose(),
+    ]
+    for left in range(9):
+        for right in range(9):
+            for _ in range(3):
+                density = [rng.choice((0, 0.2, 0.4, 0.7)) for _ in range(left)]
+                graphs.append(BipartiteGraph(left, right, [
+                    (u, w) for u in range(left) for w in range(right) if rng.random() < density[u]
+                ]))
+    for bg in graphs:
+        assert exact_bipartite_induced_matching(bg) == brute_force_witness(bg), bg.to_json()
+    assert exact_bipartite_induced_matching(graphs[0]) == (0, Matching([]))
+    assert exact_bipartite_induced_matching(graphs[1]) == (3, Matching([(1, 0), (3, 2), (4, 3)]))
 
 
 def test_exact_side_cap():

@@ -2,7 +2,8 @@
 
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: the depth-first "one incident edge or nothing" search for the
-general r-approximation classes, the all-orders enumeration with its
+general r-approximation classes, the good-neighbour subset scan of the
+exact bipartite solver before its suffix bound, the all-orders enumeration with its
 per-kind feasibility tests, the matching checkers and conflict builders
 with one branch per graph kind, the pairwise conflict scan that built the
 FGLSS graph, the pair-by-pair re-derivation of the edges disperser_replace
@@ -63,6 +64,7 @@ from matchprice.graphs import (
     random_graph,
 )
 from matchprice.matching_solvers import (
+    _scan_side_maximum,
     approx_induced_matching_bipartite,
     approx_induced_matching_general,
     bit_indices,
@@ -190,6 +192,82 @@ def test_general_blocks_refuse_like_reference(monkeypatch):
     expected = outcome(ref_block_optima_general, g, 1)
     assert expected[0] == "refused"
     assert outcome(block_optima_general, g, 1) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact bipartite solver: the unbounded depth-first good-neighbour scan
+
+
+def ref_scan_side_maximum(masks):
+    n = len(masks)
+    best = []
+
+    def rec(start, chosen, privates, union_mask):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        for i in range(start, n):
+            if len(chosen) + (n - i) <= len(best):
+                break
+            m = masks[i]
+            fresh = m & ~union_mask
+            if not fresh:
+                continue
+            shrunk = []
+            alive = True
+            for p in privates:
+                q = p & ~m
+                if not q:
+                    alive = False
+                    break
+                shrunk.append(q)
+            if not alive:
+                continue
+            chosen.append(i)
+            shrunk.append(fresh)
+            rec(i + 1, chosen, shrunk, union_mask | m)
+            chosen.pop()
+
+    rec(0, [], [], 0)
+    return best
+
+
+def scan_mask_corpus(rng):
+    """Fifteen mask lists of each length 0..20, up to 130 bits wide, with
+    zero, duplicate and nested masks mixed in."""
+    corpus = []
+    for n in range(21):
+        for _ in range(15):
+            width = rng.choice((4, 12, 40, 70, 130))
+            p = rng.choice((0.05, 0.15, 0.3, 0.6))
+            masks = [sum(1 << b for b in range(width) if rng.random() < p) for _ in range(n)]
+            for i in range(n):
+                kind = rng.random()
+                if kind < 0.1:
+                    masks[i] = 0
+                elif kind < 0.2:
+                    masks[i] = masks[rng.randrange(n)]
+                elif kind < 0.3:
+                    masks[i] &= masks[rng.randrange(n)]
+            corpus.append(masks)
+    return corpus
+
+
+def test_side_scan_matches_depth_first_reference():
+    rng = random.Random(20020514)
+    seen = {"zero": 0, "duplicate": 0, "nested": 0, "wide": 0, "none_valid": 0}
+    sizes = set()
+    for masks in scan_mask_corpus(rng):
+        expected = ref_scan_side_maximum(masks)
+        assert _scan_side_maximum(masks) == expected, masks
+        sizes.add(len(expected))
+        seen["zero"] += 0 in masks
+        seen["duplicate"] += any(m and masks.count(m) > 1 for m in masks)
+        seen["nested"] += any(0 < a < b and a & b == a for a in masks for b in masks)
+        seen["wide"] += any(m >> 64 for m in masks)
+        seen["none_valid"] += bool(masks) and len(expected) == 0
+    assert min(seen.values()) >= 5, seen
+    assert sizes >= set(range(13)), sizes
 
 
 # ---------------------------------------------------------------------------
