@@ -55,7 +55,6 @@ from .matching_solvers import (
 from .pricing import (
     approximation_scheme,
     check_rule,
-    evaluate_revenue,
     geometric_enum_approx,
     instance_from_json,
     instance_to_json,

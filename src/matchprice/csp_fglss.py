@@ -1,7 +1,9 @@
 """Boolean CSP instances, exhaustive satisfaction counting (bit-sliced over
 all assignments at once; the value and its lexicographically least witness
-are those of a scan in product order), clause-product amplification, the
-FGLSS conflict graph, and disperser-based sparsification of conflict edges.
+are those of a scan in product order), clause-product amplification (each
+product clause's satisfying set read off the same bit-sliced truth columns,
+over its merged variables), the FGLSS conflict graph, and disperser-based
+sparsification of conflict edges.
 
 A clause is an ordered tuple of distinct variables plus the set of local
 assignments (pattern strings over that order) that satisfy it.  The FGLSS
@@ -164,7 +166,7 @@ def _truth_column(shift: int, size: int) -> int:
     return column
 
 
-def _satisfying_mask(clause: Clause, columns: list[int], full: int) -> int:
+def _satisfying_mask(clause: Clause, columns: list[int] | dict[int, int], full: int) -> int:
     mask = 0
     for pat in clause.satisfying:
         term = full
@@ -239,7 +241,9 @@ def gap_amplify(instance: CspInstance, t: int, m_out: int, seed: int) -> CspInst
     reproducible individually and construction order does not matter.
     Merged variables keep first-occurrence order; the satisfying set is
     every assignment of the merged variables satisfying all t constituents
-    (possibly empty, if the constituents contradict).
+    (possibly empty, if the constituents contradict): the AND of their
+    satisfying masks over the merged variables' truth columns, the first
+    merged variable the most significant bit as in max_sat_bruteforce.
     """
     if t < 1:
         raise InputError(f"product width t must be at least 1, got {t}")
@@ -262,17 +266,14 @@ def gap_amplify(instance: CspInstance, t: int, m_out: int, seed: int) -> CspInst
                 f"pattern enumeration limited to {caps.MAX_SAT_VARS}",
                 bound="MAX_SAT_VARS",
             )
-        position = {v: i for i, v in enumerate(merged)}
-        satisfying = []
-        for bits in product("01", repeat=len(merged)):
-            ok = True
-            for c in parts:
-                local = "".join(bits[position[v]] for v in c.variables)
-                if local not in c.satisfying:
-                    ok = False
-                    break
-            if ok:
-                satisfying.append("".join(bits))
+        k = len(merged)
+        size = 1 << k
+        full = (1 << size) - 1
+        columns = {v: _truth_column(k - 1 - i, size) for i, v in enumerate(merged)}
+        mask = full
+        for c in parts:
+            mask &= _satisfying_mask(c, columns, full)
+        satisfying = [format(i, f"0{k}b") if k else "" for i in bit_indices(mask)]
         out.append(Clause(tuple(merged), frozenset(satisfying)))
     return CspInstance(instance.num_vars, out)
 

@@ -15,7 +15,8 @@ The approximation algorithms split one side (bipartite: the smaller side;
 general: all vertices) into r round-robin residue classes and solve each
 class exactly.  Any induced matching spreads its edges over the classes, so
 the best class carries at least ceil(opt / r) of them, and the sum of the
-class optima is at least opt.
+class optima is at least opt.  The exact bipartite routine is the one-class
+case of the bipartite block solver, so both scan the same side.
 """
 
 from __future__ import annotations
@@ -112,24 +113,15 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
     return top
 
 
-def exact_bipartite_induced_matching(bg: BipartiteGraph) -> tuple[int, Matching]:
-    """Maximum induced matching of a bipartite graph.
-
-    Scans subsets of the smaller side; every chosen vertex is then matched
-    to its least-index good neighbour (a neighbour no other chosen vertex
-    touches), which is exactly the condition for the subset to be saturated
-    by an induced matching.  The scanned side must be at most
-    caps.MAX_EXACT_SIDE vertices; the other side is unlimited.
-    """
-    flipped = bg.right_count < bg.left_count
-    work = bg.transpose() if flipped else bg
-    if work.left_count > caps.MAX_EXACT_SIDE:
+def _side_maximum_pairs(masks: list[int]) -> list[tuple[int, int]]:
+    """(index, least private bit) for every index of _scan_side_maximum's
+    set over the given side masks.  At most caps.MAX_EXACT_SIDE masks."""
+    if len(masks) > caps.MAX_EXACT_SIDE:
         raise CapExceeded(
-            f"exact solver scans min(left, right) = {work.left_count} vertices, "
+            f"exact solver scans min(left, right) = {len(masks)} vertices, "
             f"limit is {caps.MAX_EXACT_SIDE}",
             bound="MAX_EXACT_SIDE",
         )
-    masks = [work.left_mask(u) for u in range(work.left_count)]
     chosen = _scan_side_maximum(masks)
     pairs = []
     for i in chosen:
@@ -138,11 +130,21 @@ def exact_bipartite_induced_matching(bg: BipartiteGraph) -> tuple[int, Matching]
             if j != i:
                 others |= masks[j]
         private = masks[i] & ~others
-        v = (private & -private).bit_length() - 1
-        pairs.append((v, i) if flipped else (i, v))
-    m = Matching(sorted(pairs))
-    assert is_induced_matching(bg, m)
-    return len(pairs), m
+        pairs.append((i, (private & -private).bit_length() - 1))
+    return pairs
+
+
+def exact_bipartite_induced_matching(bg: BipartiteGraph) -> tuple[int, Matching]:
+    """Maximum induced matching of a bipartite graph.
+
+    Scans subsets of the smaller side; every chosen vertex is then matched
+    to its least-index good neighbour (a neighbour no other chosen vertex
+    touches), which is exactly the condition for the subset to be saturated
+    by an induced matching.  The scanned side must be at most
+    caps.MAX_EXACT_SIDE vertices; the other side is unlimited.  This is
+    block_optima_bipartite's one-class case.
+    """
+    return block_optima_bipartite(bg, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +155,16 @@ def block_optima_bipartite(bg: BipartiteGraph, r: int) -> list[tuple[int, Matchi
     """Exact induced matching optimum of every residue-class subgraph
     G[U_b + W], U_b over the smaller side, as (size, matching in bg)."""
     flipped = bg.right_count < bg.left_count
-    work = bg.transpose() if flipped else bg
+    side_mask = bg.right_mask if flipped else bg.left_mask
     out = []
-    for lefts in round_robin_blocks(work.left_count, r):
-        sub_masks = [work.left_mask(u) for u in lefts]
-        sub = BipartiteGraph._from_masks(len(lefts), work.right_count, sub_masks)
-        size, sub_m = exact_bipartite_induced_matching(sub)
+    for members in round_robin_blocks(bg.right_count if flipped else bg.left_count, r):
+        pairs = _side_maximum_pairs([side_mask(u) for u in members])
         if flipped:
-            mapped = Matching(sorted((w, lefts[i]) for i, w in sub_m))
+            m = Matching(sorted((w, members[i]) for i, w in pairs))
         else:
-            mapped = Matching(sorted((lefts[i], w) for i, w in sub_m))
-        assert is_induced_matching(bg, mapped)
-        out.append((size, mapped))
+            m = Matching(sorted((members[i], w) for i, w in pairs))
+        assert is_induced_matching(bg, m)
+        out.append((len(pairs), m))
     return out
 
 

@@ -23,7 +23,6 @@ from .errors import InputError
 from .graphs import BipartiteGraph, Matching, VertexOrder, bit_indices
 from .graphs import is_induced_matching, is_semi_induced_matching
 from .pricing import (
-    SMP,
     UDP,
     Group,
     PriceFunction,
@@ -241,20 +240,17 @@ def extract_with_stats(out: ReductionOutput, prices: PriceFunction, rule: str):
         members = sorted((u for u in candidates if out.coloring[u] == color), reverse=True)
         if not members:
             continue
-        alive = dict.fromkeys(members, True)
+        alive = sum(1 << u for u in members)
         accepted = []
         worst_removed = 0
         for u in members:
-            if not alive[u]:
+            if not (alive >> u) & 1:
                 continue
             v = candidates[u]
             accepted.append((u, v))
-            removed = 0
-            for u2 in members:
-                if u2 != u and alive[u2] and out.graph.has_edge(u2, v):
-                    alive[u2] = False
-                    removed += 1
-            worst_removed = max(worst_removed, removed)
+            killed = out.graph.right_mask(v) & alive & ~(1 << u)
+            alive &= ~killed
+            worst_removed = max(worst_removed, killed.bit_count())
         per_class[color] = {
             "candidates": len(members),
             "accepted": len(accepted),
@@ -268,14 +264,14 @@ def extract_with_stats(out: ReductionOutput, prices: PriceFunction, rule: str):
     # right) adjacencies, so the surviving set is valid for `order`.
     survivors.sort(key=lambda e: order.rank(e[0]), reverse=True)
     accepted = []
-    used_rights = set()
+    used_rights = 0
     cleanup_removed = 0
     for u, v in survivors:
-        if any(out.graph.has_edge(u, w) for w in used_rights):
+        if out.graph.left_mask(u) & used_rights:
             cleanup_removed += 1
             continue
         accepted.append((u, v))
-        used_rights.add(v)
+        used_rights |= 1 << v
 
     matching = Matching(sorted(accepted))
     assert is_semi_induced_matching(out.graph, order, matching)

@@ -19,6 +19,7 @@ from .csp_fglss import (
     random_csp,
 )
 from .disperser import check_disperser_lemma, random_disperser, verify_disperser
+from .errors import InputError
 from .graphs import (
     ALL_ORDERS,
     BipartiteGraph,
@@ -296,8 +297,6 @@ CHECKS = {
 
 def run_all(scale: str = DESK, seed: int = 0) -> dict:
     """Run every named check; the record list is sorted by check name."""
-    from .errors import InputError
-
     if scale not in SCALES:
         raise InputError(f"unknown scale {scale!r}; supported: {', '.join(SCALES)}")
     records = []

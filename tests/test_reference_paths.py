@@ -7,7 +7,8 @@ exact bipartite solver before its suffix bound, the all-orders enumeration with 
 per-kind feasibility tests, the matching checkers and conflict builders
 with one branch per graph kind, the pairwise conflict scan that built the
 FGLSS graph, the pair-by-pair re-derivation of the edges disperser_replace
-keeps, the hand-written best-so-far loops of the
+keeps, the per-assignment pattern joins of gap_amplify, the alive dict
+and used-right set of the extraction's greedy and sweep, the hand-written best-so-far loops of the
 pricing algorithms, the r-approximations and the max-sat oracle, the
 Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
@@ -70,6 +71,7 @@ from matchprice.matching_solvers import (
     bit_indices,
     block_optima_bipartite,
     block_optima_general,
+    exact_bipartite_induced_matching,
     round_robin_blocks,
 )
 from matchprice.pricing import (
@@ -93,6 +95,13 @@ from matchprice.pricing import (
     uniform_price_approx,
 )
 from matchprice.rationals import INF, is_infinite
+from matchprice.reduction import (
+    _chosen_right,
+    congestion_threshold,
+    extract_with_stats,
+    matching_to_prices,
+    reduce_full,
+)
 from test_csp_fglss import variable_sides
 
 # ---------------------------------------------------------------------------
@@ -754,6 +763,209 @@ def test_fglss_build_refuses_same_inputs():
     for build in (fglss_build, ref_fglss_build):
         with pytest.raises(CapExceeded):
             build(bigger)
+
+
+# ---------------------------------------------------------------------------
+# gap_amplify: one joined pattern string per constituent clause for every
+# assignment of the merged variables
+
+
+def ref_gap_amplify(instance, t, m_out, seed):
+    if t < 1:
+        raise InputError(f"product width t must be at least 1, got {t}")
+    if m_out < 1:
+        raise InputError(f"output clause count must be at least 1, got {m_out}")
+    if not instance.clauses:
+        raise InputError("cannot amplify an instance with no clauses")
+    out = []
+    for j in range(m_out):
+        rng = random.Random(seed ^ j)
+        parts = [instance.clauses[rng.randrange(len(instance.clauses))] for _ in range(t)]
+        merged = []
+        for c in parts:
+            for v in c.variables:
+                if v not in merged:
+                    merged.append(v)
+        if len(merged) > caps.MAX_SAT_VARS:
+            raise CapExceeded(
+                f"merged clause has {len(merged)} variables, "
+                f"pattern enumeration limited to {caps.MAX_SAT_VARS}",
+                bound="MAX_SAT_VARS",
+            )
+        position = {v: i for i, v in enumerate(merged)}
+        satisfying = []
+        for bits in product("01", repeat=len(merged)):
+            ok = True
+            for c in parts:
+                local = "".join(bits[position[v]] for v in c.variables)
+                if local not in c.satisfying:
+                    ok = False
+                    break
+            if ok:
+                satisfying.append("".join(bits))
+        out.append(Clause(tuple(merged), frozenset(satisfying)))
+    return CspInstance(instance.num_vars, out)
+
+
+def amplify_corpus():
+    """Clauses of arity 0-4 over at most 12 variables (so t <= 4 products
+    share variables and merge to at most 12), each with a random satisfying
+    set that may be empty; arity-0 clauses carry {""} or nothing."""
+    rng = random.Random(1503)
+    for _ in range(150):
+        num_vars = rng.randint(1, 12)
+        clauses = []
+        for _ in range(rng.randint(1, 5)):
+            arity = min(rng.choice((0, 1, 2, 3, 4, 4, 4)), num_vars)
+            variables = tuple(rng.sample(range(num_vars), arity))
+            patterns = ["".join(bits) for bits in product("01", repeat=arity)]
+            clauses.append(Clause(variables, {p for p in patterns if rng.random() < 0.5}))
+        yield CspInstance(num_vars, clauses), rng.randint(1, 4), rng.randint(1, 4), rng.randrange(10**6)
+    patterns = ["".join(bits) for bits in product("01", repeat=4)]
+    wide = [Clause(tuple(range(i, 12, 3)), {p for p in patterns if rng.random() < 0.7}) for i in range(3)]
+    for seed in range(4):
+        yield CspInstance(12, wide), 4, 4, seed
+
+
+def test_gap_amplify_matches_pattern_join_reference():
+    seen, widest = set(), 0
+    for inst, t, m_out, seed in amplify_corpus():
+        got = gap_amplify(inst, t, m_out, seed)
+        assert got.to_json() == ref_gap_amplify(inst, t, m_out, seed).to_json(), (inst.to_json(), t, m_out, seed)
+        for c in got.clauses:
+            seen.add(("arity 0", c.arity == 0))
+            seen.add(("contradiction", not c.satisfying))
+            seen.add(("shared variable", len(c.variables) < sum(p.arity for p in inst.clauses)))
+            widest = max(widest, c.arity)
+    assert {("arity 0", True), ("contradiction", True), ("shared variable", True)} <= seen
+    assert widest == 12
+
+
+def test_gap_amplify_refuses_like_reference(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_SAT_VARS", 5)
+    inst = CspInstance(8, [Clause((0, 1, 2), {"010"}), Clause((3, 4, 5), {"111", "000"})])
+    refused = set()
+    for t in (1, 2, 3):
+        for seed in range(6):
+            expected = outcome(amplify_json, ref_gap_amplify, inst, t, 4, seed)
+            assert outcome(amplify_json, gap_amplify, inst, t, 4, seed) == expected
+            refused.add(isinstance(expected, tuple))
+    assert refused == {False, True}
+
+
+def amplify_json(amplify, *args):
+    return amplify(*args).to_json()
+
+
+# ---------------------------------------------------------------------------
+# extraction: the per-class greedy over an alive dict with one has_edge test
+# per class member, and the cross-class sweep over a set of used rights
+
+
+def ref_extract_with_stats(out, prices, rule):
+    check_rule(rule)
+    report = evaluate_revenue(out.instance, rule, prices)
+    d = out.d
+    tight = []
+    tight_revenue = ZERO
+    for u, idx in sorted(out.group_of_left_vertex.items()):
+        sale = report.sales[idx]
+        if not sale.bought:
+            continue
+        g = out.instance.groups[idx]
+        if sale.payment / g.multiplicity * 4 * d >= g.budget:
+            tight.append(u)
+            tight_revenue += sale.payment
+    candidates = {
+        u: _chosen_right(out, prices, rule, u, report.sales[out.group_of_left_vertex[u]])
+        for u in tight
+    }
+    sequence = sorted(
+        range(out.graph.left_count),
+        key=lambda u: (out.coloring[u] if rule == UDP else -out.coloring[u], u),
+    )
+    order = VertexOrder.from_sequence(sequence)
+    per_class = {}
+    survivors = []
+    for color in range(1, d + 1):
+        members = sorted((u for u in candidates if out.coloring[u] == color), reverse=True)
+        if not members:
+            continue
+        alive = dict.fromkeys(members, True)
+        accepted = []
+        worst_removed = 0
+        for u in members:
+            if not alive[u]:
+                continue
+            v = candidates[u]
+            accepted.append((u, v))
+            removed = 0
+            for u2 in members:
+                if u2 != u and alive[u2] and out.graph.has_edge(u2, v):
+                    alive[u2] = False
+                    removed += 1
+            worst_removed = max(worst_removed, removed)
+        per_class[color] = {
+            "candidates": len(members),
+            "accepted": len(accepted),
+            "max_removed_by_one": worst_removed,
+        }
+        survivors.extend(accepted)
+    survivors.sort(key=lambda e: order.rank(e[0]), reverse=True)
+    accepted = []
+    used_rights = set()
+    cleanup_removed = 0
+    for u, v in survivors:
+        if any(out.graph.has_edge(u, w) for w in used_rights):
+            cleanup_removed += 1
+            continue
+        accepted.append((u, v))
+        used_rights.add(v)
+    stats = {
+        "revenue": report.revenue,
+        "tight_count": len(tight),
+        "tight_revenue": tight_revenue,
+        "per_class": per_class,
+        "max_removed_by_one": max(
+            (c["max_removed_by_one"] for c in per_class.values()), default=0
+        ),
+        "threshold": congestion_threshold(d),
+        "cleanup_removed": cleanup_removed,
+    }
+    return Matching(sorted(accepted)), order, stats
+
+
+def extraction_corpus():
+    rng = random.Random(1504)
+    for _ in range(120):
+        bg = random_bipartite(rng.randint(1, 12), rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6)),
+                              rng.randrange(10**6))
+        if not bg.edge_count():
+            continue
+        d = max(3, bg.max_degree()) + rng.randint(0, 1)
+        for rule in RULES:
+            out = reduce_full(bg, d, rng.randrange(10**6), rule)
+            budgets = sorted({g.budget for g in out.instance.groups})
+            n = out.instance.item_count
+            yield out, PriceFunction([rng.choice(budgets) for _ in range(n)]), rule
+            yield out, PriceFunction([rng.choice(budgets + [INF if rule == UDP else ZERO]) for _ in range(n)]), rule
+            yield out, PriceFunction([rng.choice(budgets) / rng.choice((1, 2, 4)) for _ in range(n)]), rule
+            yield out, matching_to_prices(out, exact_bipartite_induced_matching(out.graph)[1], rule), rule
+    # a colour-1 group of three items and a colour-2 group sharing one are
+    # both tight at one uniform price, so the cross-class sweep drops an edge
+    bg = BipartiteGraph(3, 8, [(0, 0), (0, 2), (0, 4), (1, 4), (2, 4), (2, 6), (2, 7)])
+    out = reduce_full(bg, 3, 431639, SMP)
+    yield out, PriceFunction([Fraction(1, 729)] * out.instance.item_count), SMP
+
+
+def test_extraction_matches_alive_dict_and_used_set_reference():
+    removed = cleaned = 0
+    for out, prices, rule in extraction_corpus():
+        got = extract_with_stats(out, prices, rule)
+        assert got == ref_extract_with_stats(out, prices, rule), (out.graph.to_json(), rule, list(prices))
+        removed += got[2]["max_removed_by_one"] > 0
+        cleaned += got[2]["cleanup_removed"] > 0
+    assert removed and cleaned
 
 
 # ---------------------------------------------------------------------------
