@@ -308,16 +308,17 @@ def fglss_build(instance: CspInstance) -> tuple[Graph, tuple[tuple[int, str], ..
     return Graph._from_masks(len(labels), adj), tuple(labels)
 
 
-def _label_masks(labels, instance: CspInstance) -> tuple[list[int], list[list[int]]]:
+def _label_masks(labels, instance: CspInstance) -> tuple[list[int], dict[int, list[int]]]:
     """One scan of the labels: each clause's vertex mask, and for each
-    variable the pair [mask of vertices setting it to 0, ... to 1]."""
+    variable that occurs in some label the pair [mask of vertices setting
+    it to 0, ... to 1]."""
     clause_masks = [0] * len(instance.clauses)
-    sides = [[0, 0] for _ in range(instance.num_vars)]
+    sides: dict[int, list[int]] = {}
     for vertex, (ci, pat) in enumerate(labels):
         bit = 1 << vertex
         clause_masks[ci] |= bit
         for v, value in zip(instance.clauses[ci].variables, pat):
-            sides[v][value == "1"] |= bit
+            sides.setdefault(v, [0, 0])[value == "1"] |= bit
     return clause_masks, sides
 
 
@@ -351,9 +352,7 @@ def disperser_replace(g: Graph, labels, instance: CspInstance, disperser_supplie
             )
     clause_masks, sides = _label_masks(labels, instance)
     adj = [clause_masks[ci] & ~(1 << vertex) for vertex, (ci, _) in enumerate(labels)]
-    for variable, (zero_mask, one_mask) in enumerate(sides):
-        if not zero_mask and not one_mask:
-            continue
+    for variable, (zero_mask, one_mask) in sorted(sides.items()):
         ones, zeros = bit_indices(one_mask), bit_indices(zero_mask)
         if len(ones) != len(zeros):
             raise InputError(

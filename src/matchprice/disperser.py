@@ -143,7 +143,9 @@ def check_disperser_lemma(g: BipartiteGraph, gamma, seed: int = 0, samples: int 
         matching larger than 4*gamma*n.  Exact over all left orders when
         n <= caps.MAX_LEMMA_EXACT_SIDE, otherwise the maximum over `samples`
         random orders drawn from random.Random(seed); samples must be at
-        least 1.
+        least 1.  The value needs no witness and is truncated at
+        sim_cutoff = floor(4*gamma*n) + 1, so it is settled by asking "is
+        there a sequence of length best + 1?" until the answer is no.
 
     The input must pass verify_disperser first; a failing graph is refused.
     Returns a report dict with both values, bounds, and ok flags.

@@ -630,6 +630,45 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     return len(best_pairs), m, witness_order
 
 
+def _longest_sequence(masks, cutoff: int, ordered: bool) -> int:
+    """Longest k (capped at cutoff) such that lefts u_1, ..., u_k, with
+    neighbour masks from masks (in that order if ordered, else any), each
+    keep a right that no earlier u_i is adjacent to.
+
+    Taking u removes all of N(u) from the rights later lefts may use, so a
+    state is (first usable index, free rights).  The search asks "is there
+    a sequence of length best + 1?" until the answer is no.  A state fails
+    at once when fewer free rights or usable masks remain than still
+    needed; a dict keeps, per state, the least length known to fail from it.
+    """
+    count = len(masks)
+    free = 0
+    for mask in masks:
+        free |= mask
+    fails: dict[tuple[int, int], int] = {}
+
+    def reaches(start: int, avail: int, need: int) -> bool:
+        if not need:
+            return True
+        key = (start, avail)
+        if fails.get(key, need + 1) <= need:
+            return False
+        if avail.bit_count() >= need:
+            usable = [j for j in range(start, count) if masks[j] & avail]
+            if len(usable) >= need:
+                # in order, the first pick must leave need - 1 usable masks after it
+                for j in usable[: len(usable) - need + 1] if ordered else usable:
+                    if reaches(j + 1 if ordered else 0, avail & ~masks[j], need - 1):
+                        return True
+        fails[key] = need
+        return False
+
+    best = 0
+    while best < cutoff and reaches(0, free, best + 1):
+        best += 1
+    return best
+
+
 def max_expanding_sequence(bg: BipartiteGraph, cutoff: int) -> int:
     """Largest k (capped at cutoff) such that bg has disjoint edges
     (u_1, v_1), ..., (u_k, v_k) with u_i nonadjacent to v_j whenever i < j.
@@ -637,71 +676,26 @@ def max_expanding_sequence(bg: BipartiteGraph, cutoff: int) -> int:
     This equals the maximum over every left order of the semi-induced
     matching number, truncated at cutoff: ordering the matching by the rank
     of the left endpoints turns the order condition into exactly the
-    sequence condition.
-
-    Taking u_i removes all of N(u_i) from the rights later edges may use,
-    whichever v_i it is matched to, so the rest depends only on the mask of
-    free rights: best(avail) is the max, over lefts u with N(u) & avail
-    nonempty, of 1 + best(avail & ~N(u)), memoised on avail.  A used left
-    has no free neighbour left, so it is never chosen twice.
+    sequence condition.  Decided as "is there a sequence of length
+    best + 1?" over any order of the lefts (_longest_sequence).
     """
-    if cutoff <= 0:
-        return 0
-    memo: dict[int, int] = {}
-
-    def best(avail: int) -> int:
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        value = 0
-        for nbrs in bg._left_adj:
-            if nbrs & avail:
-                value = max(value, 1 + best(avail & ~nbrs))
-                if value >= cutoff:
-                    value = cutoff
-                    break
-        memo[avail] = value
-        return value
-
-    return best((1 << bg.right_count) - 1)
+    return _longest_sequence(bg._left_adj, cutoff, ordered=False)
 
 
 def max_expanding_sequence_fixed(bg: BipartiteGraph, order: VertexOrder, cutoff: int) -> int:
-    """Semi-induced matching number of bg for one fixed left order.
+    """Semi-induced matching number of bg for one fixed left order,
+    truncated at cutoff.
 
-    Matches max_semi_induced_matching_bruteforce(bg, order)[0] but runs a
-    memoised scan of the lefts in rank order instead of enumerating edge
-    subsets.  Picking left u constrains every later right to avoid N(u)
-    regardless of which right u is matched to, so the state is just
-    (position, still-allowed rights) and values can be truncated at cutoff.
+    Matches max_semi_induced_matching_bruteforce(bg, order)[0] (below the
+    cutoff) but runs the decision search of _longest_sequence on the lefts
+    in rank order instead of enumerating edge subsets.
     """
     if len(order) != bg.left_count:
         raise InputError(
             f"order ranks {len(order)} vertices, graph has {bg.left_count} lefts"
         )
-    if cutoff <= 0:
-        return 0
-    seq = order.sequence()
-    total = len(seq)
-    memo: dict[tuple[int, int], int] = {}
-
-    def best(i: int, avail: int) -> int:
-        if i == total or not avail:
-            return 0
-        key = (i, avail)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = best(i + 1, avail)
-        if value < cutoff:
-            options = bg.left_mask(seq[i]) & avail
-            if options:
-                take = 1 + best(i + 1, avail & ~bg.left_mask(seq[i]))
-                value = max(value, min(take, cutoff))
-        memo[key] = value
-        return value
-
-    return best(0, (1 << bg.right_count) - 1)
+    masks = [bg._left_adj[u] for u in order.sequence()]
+    return _longest_sequence(masks, cutoff, ordered=True)
 
 
 # ---------------------------------------------------------------------------

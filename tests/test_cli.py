@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -281,15 +282,21 @@ def test_every_command_reports_its_words_and_seed(tmp_path, capsys, argv, seed, 
         assert stdout == (artifact.read_text() if out == "artifact" else dumps(report))
 
 
-def run_cli(*argv, module="matchprice.cli", **environ):
+def run_cli(*argv, module="matchprice.cli", preexec_fn=None, timeout=120, **environ):
     """The CLI as a subprocess, with extra environment variables."""
     src = str(Path(matchprice.__file__).resolve().parents[1])
     pythonpath = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+def limit_memory():
+    """Cap the child's address space at 1 GiB, so an input that makes it
+    grow without bound fails fast instead of filling the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def labeled_pair(labels):
@@ -483,6 +490,19 @@ def test_undecodable_input_exits_two_without_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "is not valid json" in proc.stderr
+
+
+def test_fglss_allocates_only_for_variables_in_some_label(tmp_path):
+    """One clause over two of 10^11 variables builds its two-vertex graph:
+    side masks exist only for variables that occur in some label."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "num_vars": 100000000000,
+        "clauses": [{"vars": [0, 99999999999], "satisfying": ["01", "10"]}],
+    }))
+    proc = run_cli("csp", "fglss", "--input", str(path), preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["graph"] == {"n": 2, "edges": [[0, 1]]}
 
 
 def test_package_runs_as_a_module():

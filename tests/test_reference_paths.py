@@ -12,9 +12,10 @@ and used-right set of the extraction's greedy and sweep, the hand-written best-s
 pricing algorithms, the r-approximations and the max-sat oracle, the
 Fraction revenue search that scored every candidate price vector with
 evaluate_revenue, the expanding-sequence search over (used lefts, free
-rights), the left-subset loops of verify_disperser and the
-balanced-independence oracle, the unpruned combinations scan both of
-them came to share, the Fraction tableau simplex behind the SMP oracle, and
+rights) and the two value recurrences that followed it (all orders on the
+free rights, one order on position and free rights), the left-subset loops
+of verify_disperser and the balanced-independence oracle, the unpruned
+combinations scan both of them came to share, the Fraction tableau simplex behind the SMP oracle, and
 the full product scan that geometric enumeration and the UDP oracle ran
 before their branch-and-bound search.
 The engines must return the same values and the same witnesses on every
@@ -60,6 +61,7 @@ from matchprice.graphs import (
     is_semi_induced_matching,
     max_induced_matching_bruteforce,
     max_expanding_sequence,
+    max_expanding_sequence_fixed,
     max_semi_induced_matching_bruteforce,
     random_bipartite,
     random_graph,
@@ -1705,7 +1707,9 @@ def test_max_sat_at_its_cap_in_closed_form():
 
 # ---------------------------------------------------------------------------
 # disperser layer: the expanding-sequence search over (used lefts, free
-# rights) with a best-so-far depth memo, the left-subset loops of
+# rights) with a best-so-far depth memo, the value recurrences memoised on
+# the free rights (all orders) and on (position, free rights) (one order)
+# that replaced it, the left-subset loops of
 # verify_disperser and the balanced-independence oracle, and their shared
 # unpruned scan
 
@@ -1744,6 +1748,58 @@ def ref_max_expanding_sequence(bg, cutoff):
 
     rec(0, full_right, 0)
     return best
+
+
+def ref_expanding_all_orders(bg, cutoff):
+    if cutoff <= 0:
+        return 0
+    memo: dict[int, int] = {}
+
+    def best(avail: int) -> int:
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        value = 0
+        for nbrs in bg._left_adj:
+            if nbrs & avail:
+                value = max(value, 1 + best(avail & ~nbrs))
+                if value >= cutoff:
+                    value = cutoff
+                    break
+        memo[avail] = value
+        return value
+
+    return best((1 << bg.right_count) - 1)
+
+
+def ref_expanding_fixed(bg, order, cutoff):
+    if len(order) != bg.left_count:
+        raise InputError(
+            f"order ranks {len(order)} vertices, graph has {bg.left_count} lefts"
+        )
+    if cutoff <= 0:
+        return 0
+    seq = order.sequence()
+    total = len(seq)
+    memo: dict[tuple[int, int], int] = {}
+
+    def best(i: int, avail: int) -> int:
+        if i == total or not avail:
+            return 0
+        key = (i, avail)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        value = best(i + 1, avail)
+        if value < cutoff:
+            options = bg.left_mask(seq[i]) & avail
+            if options:
+                take = 1 + best(i + 1, avail & ~bg.left_mask(seq[i]))
+                value = max(value, min(take, cutoff))
+        memo[key] = value
+        return value
+
+    return best(0, (1 << bg.right_count) - 1)
 
 
 def ref_verify_disperser(g, gamma):
@@ -1826,6 +1882,41 @@ def test_expanding_sequence_matches_depth_memo_search():
     for g in verified_dispersers(8, 4, gamma, 4):
         cover = bipartite_double_cover(bipartite_to_graph(g))
         assert max_expanding_sequence(cover, cutoff) == ref_max_expanding_sequence(cover, cutoff)
+
+
+def test_expanding_decision_search_matches_both_recurrences():
+    rng = random.Random(20135)
+    for bg in small_bipartite_corpus(rng):
+        perm = list(range(bg.left_count))
+        rng.shuffle(perm)
+        order = VertexOrder.from_sequence(perm)
+        top = ref_expanding_all_orders(bg, min(bg.left_count, bg.right_count) + 1)
+        for cutoff in (0, 1, 3, top + 1):
+            case = (bg.to_json(), perm, cutoff)
+            assert max_expanding_sequence(bg, cutoff) == ref_expanding_all_orders(bg, cutoff), case
+            assert max_expanding_sequence_fixed(bg, order, cutoff) == ref_expanding_fixed(
+                bg, order, cutoff
+            ), case
+    with pytest.raises(InputError) as got:
+        max_expanding_sequence_fixed(BipartiteGraph(3, 3, []), VertexOrder((1, 0)), 5)
+    with pytest.raises(InputError) as want:
+        ref_expanding_fixed(BipartiteGraph(3, 3, []), VertexOrder((1, 0)), 5)
+    assert str(got.value) == str(want.value)
+    gamma = Fraction(1, 3)
+    cutoff = math.floor(4 * gamma * 8) + 1
+    for g in verified_dispersers(8, 4, gamma, 4):
+        cover = bipartite_double_cover(bipartite_to_graph(g))
+        assert max_expanding_sequence(cover, cutoff) == ref_expanding_all_orders(cover, cutoff)
+    cutoff = math.floor(4 * gamma * 10) + 1
+    for g in verified_dispersers(10, 4, gamma, 2):
+        cover = bipartite_double_cover(bipartite_to_graph(g))
+        for _ in range(5):
+            perm = list(range(cover.left_count))
+            rng.shuffle(perm)
+            order = VertexOrder.from_sequence(perm)
+            assert max_expanding_sequence_fixed(cover, order, cutoff) == ref_expanding_fixed(
+                cover, order, cutoff
+            ), (g.to_json(), perm)
 
 
 def test_left_subset_scan_matches_per_caller_loops():
