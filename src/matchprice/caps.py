@@ -1,17 +1,18 @@
 """Desk-scale enumeration caps.
 
 Every exhaustive routine checks one of these bounds before doing work and
-refuses (raises CapExceeded) when the input is larger.  Each value can be
-overridden through an environment variable named MATCHPRICE_<CAP_NAME>,
-e.g. MATCHPRICE_MAX_IS_VERTICES=28.  An override is read when its cap is
-first used, so one that is not an integer raises InputError in the caller
-rather than failing the import.
+refuses when the input is larger.  Every refusal goes through require,
+which raises CapExceeded naming the cap; no other module raises it.  Each
+value can be overridden through an environment variable named
+MATCHPRICE_<CAP_NAME>, e.g. MATCHPRICE_MAX_IS_VERTICES=28.  An override is
+read when its cap is first used, so one that is not an integer raises
+InputError in the caller rather than failing the import.
 """
 
 import os
 import sys
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
 _DEFAULTS = {
     # graphs: exhaustive oracles
@@ -55,3 +56,15 @@ def snapshot() -> dict:
     """All current cap values, for embedding in reports."""
     module = sys.modules[__name__]
     return {name: getattr(module, name) for name in sorted(_DEFAULTS)}
+
+
+def require(name: str, used: int, message: str) -> None:
+    """Refuse with CapExceeded(bound=name) when used exceeds the cap name.
+
+    The message is formatted with used and limit.  The cap is read here, on
+    each call, so an environment override or a patched module attribute
+    applies.
+    """
+    limit = getattr(sys.modules[__name__], name)
+    if used > limit:
+        raise CapExceeded(message.format(used=used, limit=limit), bound=name)

@@ -14,7 +14,8 @@ Conventions shared by every subcommand:
 - a report embeds the command name, the seed (null for unseeded
   commands), the active caps, and package versions;
 - exit codes: 0 success, 1 a checked property does not hold, 2 bad input or
-  usage, 3 a resource cap refused the computation;
+  usage, 3 a resource cap refused the computation, 4 an internal invariant
+  failed (a fault in the package, reported on an ``error:`` line);
 - stage seeds derive from the global ``--seed`` as seed XOR sha256(stage),
   so pipeline stages are individually reproducible.
 """
@@ -36,7 +37,7 @@ from .csp_fglss import (
     random_csp,
 )
 from .disperser import check_disperser_lemma, random_disperser, verify_disperser
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantViolation
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -600,6 +601,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import caps
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .graphs import BipartiteGraph, Graph, bit_indices
 
 
@@ -125,12 +125,8 @@ def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:
     same tie rule as a best-so-far scan.
     """
     n = instance.num_vars
-    if n > caps.MAX_SAT_VARS:
-        raise CapExceeded(
-            f"assignment enumeration limited to {caps.MAX_SAT_VARS} variables, "
-            f"got {n}",
-            bound="MAX_SAT_VARS",
-        )
+    caps.require("MAX_SAT_VARS", n,
+                 "assignment enumeration limited to {limit} variables, got {used}")
     size = 1 << n
     full = (1 << size) - 1
     columns = [_truth_column(n - 1 - v, size) for v in range(n)]
@@ -260,12 +256,8 @@ def gap_amplify(instance: CspInstance, t: int, m_out: int, seed: int) -> CspInst
             for v in c.variables:
                 if v not in merged:
                     merged.append(v)
-        if len(merged) > caps.MAX_SAT_VARS:
-            raise CapExceeded(
-                f"merged clause has {len(merged)} variables, "
-                f"pattern enumeration limited to {caps.MAX_SAT_VARS}",
-                bound="MAX_SAT_VARS",
-            )
+        caps.require("MAX_SAT_VARS", len(merged),
+                     "merged clause has {used} variables, pattern enumeration limited to {limit}")
         k = len(merged)
         size = 1 << k
         full = (1 << size) - 1
@@ -292,12 +284,8 @@ def fglss_build(instance: CspInstance) -> tuple[Graph, tuple[tuple[int, str], ..
     or a disagreement on a shared variable): O(n * arity) mask operations.
     """
     labels = [(ci, pat) for ci, c in enumerate(instance.clauses) for pat in c.sorted_patterns()]
-    if len(labels) > caps.MAX_FGLSS_VERTICES:
-        raise CapExceeded(
-            f"conflict graph would have {len(labels)} vertices, "
-            f"limit is {caps.MAX_FGLSS_VERTICES}",
-            bound="MAX_FGLSS_VERTICES",
-        )
+    caps.require("MAX_FGLSS_VERTICES", len(labels),
+                 "conflict graph would have {used} vertices, limit is {limit}")
     clause_masks, sides = _label_masks(labels, instance)
     adj = []
     for vertex, (ci, pat) in enumerate(labels):

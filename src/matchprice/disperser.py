@@ -20,7 +20,7 @@ import math
 import random
 
 from . import caps
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .graphs import (
     BipartiteGraph,
     VertexOrder,
@@ -72,7 +72,9 @@ class DisperserGraph(BipartiteGraph):
                 [tuple(e) for e in obj["edges"]],
                 obj["target_degree"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad disperser json: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad disperser json: {exc}") from None
 
     def __repr__(self):
@@ -119,13 +121,8 @@ def verify_disperser(g: BipartiteGraph, gamma):
         )
     n = g.left_count
     k = math.ceil(gamma * n)
-    budget = math.comb(n, k)
-    if budget > caps.MAX_VERIFY_SUBSETS:
-        raise CapExceeded(
-            f"verification would enumerate C({n},{k}) = {budget} subsets, "
-            f"limit is {caps.MAX_VERIFY_SUBSETS}",
-            bound="MAX_VERIFY_SUBSETS",
-        )
+    caps.require("MAX_VERIFY_SUBSETS", math.comb(n, k),
+                 f"verification would enumerate C({n},{k}) = {{used}} subsets, limit is {{limit}}")
     sparse = _sparse_left_set(g, k)
     if sparse is None:
         return True, None
@@ -154,12 +151,8 @@ def check_disperser_lemma(g: BipartiteGraph, gamma, seed: int = 0, samples: int 
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
     n = g.left_count
-    total = g.left_count + g.right_count
-    if total > caps.MAX_LEMMA_VERTICES:
-        raise CapExceeded(
-            f"lemma check limited to {caps.MAX_LEMMA_VERTICES} vertices, got {total}",
-            bound="MAX_LEMMA_VERTICES",
-        )
+    caps.require("MAX_LEMMA_VERTICES", g.left_count + g.right_count,
+                 "lemma check limited to {limit} vertices, got {used}")
     ok, violation = verify_disperser(g, gamma)
     if not ok:
         raise InputError(

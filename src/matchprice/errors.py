@@ -3,6 +3,8 @@
 InputError marks malformed or out-of-contract inputs.  CapExceeded marks a
 refusal: the request is well formed but larger than the configured
 enumeration budget, and the message names the bound that was hit.
+InvariantViolation marks a failed post-condition: a fault in the package,
+not in its input.
 """
 
 
@@ -20,3 +22,11 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, bound: str | None = None):
         super().__init__(message)
         self.bound = bound
+
+
+class InvariantViolation(RuntimeError):
+    """Raised when a solver's result fails the property it must have.
+
+    A checked raise, not an assert, so it also holds under python -O; the
+    message names the function and the invariant.
+    """

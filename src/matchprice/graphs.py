@@ -34,7 +34,7 @@ import random
 from itertools import combinations
 
 from . import caps
-from .errors import CapExceeded, InputError
+from .errors import InputError, InvariantViolation
 
 ALL_ORDERS = "all"
 
@@ -46,14 +46,12 @@ class Graph:
     __slots__ = ("vertex_count", "_adj")
 
     def __init__(self, vertex_count: int, edges):
-        if isinstance(vertex_count, bool) or vertex_count < 0:
-            raise InputError(f"vertex_count must be a nonnegative integer, got {vertex_count!r}")
+        if not (_is_int(vertex_count) and vertex_count >= 0):
+            raise InputError(f"vertex count n must be a nonnegative integer, got {vertex_count!r}")
         self.vertex_count = vertex_count
         adj = [0] * vertex_count
         for edge in edges:
-            u, w = edge
-            if isinstance(u, bool) or isinstance(w, bool):
-                raise InputError(f"edge {edge} endpoints must be integers")
+            u, w = _edge_ends(edge)
             if not (0 <= u < vertex_count and 0 <= w < vertex_count):
                 raise InputError(f"edge {edge} out of range for n={vertex_count}")
             if u == w:
@@ -107,8 +105,23 @@ class Graph:
     def from_json(cls, obj: dict) -> "Graph":
         try:
             return cls(obj["n"], [tuple(e) for e in obj["edges"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad graph json: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad graph json: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _edge_ends(edge) -> tuple[int, int]:
+    """The two endpoints of an input edge, or InputError naming the edge."""
+    if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+        raise InputError(f"edges: {edge!r} is not a pair of vertices")
+    if not (_is_int(edge[0]) and _is_int(edge[1])):
+        raise InputError(f"edge {edge} endpoints must be integers")
+    return edge
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -123,15 +136,14 @@ class BipartiteGraph:
     __slots__ = ("left_count", "right_count", "_left_adj", "_right_adj", "_flat_graph")
 
     def __init__(self, left_count: int, right_count: int, edges):
-        if any(isinstance(c, bool) or c < 0 for c in (left_count, right_count)):
+        if not all(_is_int(c) and c >= 0 for c in (left_count, right_count)):
             raise InputError(
-                f"side sizes must be nonnegative integers, got {left_count!r} and {right_count!r}"
+                "left and right side sizes must be nonnegative integers, "
+                f"got {left_count!r} and {right_count!r}"
             )
         left_adj = [0] * left_count
         for edge in edges:
-            u, w = edge
-            if isinstance(u, bool) or isinstance(w, bool):
-                raise InputError(f"edge {edge} endpoints must be integers")
+            u, w = _edge_ends(edge)
             if not (0 <= u < left_count and 0 <= w < right_count):
                 raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
             left_adj[u] |= 1 << w
@@ -215,7 +227,9 @@ class BipartiteGraph:
     def from_json(cls, obj: dict) -> "BipartiteGraph":
         try:
             return cls(obj["left"], obj["right"], [tuple(e) for e in obj["edges"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad bipartite graph json: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad bipartite graph json: {exc}") from None
 
 
@@ -418,12 +432,8 @@ def max_independent_set_bruteforce(g) -> tuple[int, frozenset]:
     Refuses graphs with more than caps.MAX_IS_VERTICES vertices.
     """
     g = _flat(g)
-    if g.vertex_count > caps.MAX_IS_VERTICES:
-        raise CapExceeded(
-            f"independent-set oracle limited to {caps.MAX_IS_VERTICES} vertices, "
-            f"got {g.vertex_count}",
-            bound="MAX_IS_VERTICES",
-        )
+    caps.require("MAX_IS_VERTICES", g.vertex_count,
+                 "independent-set oracle limited to {limit} vertices, got {used}")
     size, witness = _mis_lex_witness(g._adj, g.vertex_count)
     return size, frozenset(witness)
 
@@ -468,30 +478,19 @@ def _edge_conflicts_semi(g: Graph, edge_list, ranks):
     return masks
 
 
-def _edge_cap_check(edge_list):
-    if len(edge_list) > caps.MAX_IM_EDGES:
-        raise CapExceeded(
-            f"edge-subset enumeration limited to {caps.MAX_IM_EDGES} edges, "
-            f"got {len(edge_list)}",
-            bound="MAX_IM_EDGES",
-        )
-
-
 def max_induced_matching_bruteforce(g) -> tuple[int, Matching]:
     """Exact maximum induced matching with a lexicographically least witness."""
     flat = _flat(g)
-    if flat.vertex_count > caps.MAX_IS_VERTICES:
-        raise CapExceeded(
-            f"induced-matching oracle limited to {caps.MAX_IS_VERTICES} vertices, "
-            f"got {flat.vertex_count}",
-            bound="MAX_IS_VERTICES",
-        )
+    caps.require("MAX_IS_VERTICES", flat.vertex_count,
+                 "induced-matching oracle limited to {limit} vertices, got {used}")
     edge_list = g.sorted_edges()
-    _edge_cap_check(edge_list)
+    caps.require("MAX_IM_EDGES", len(edge_list),
+                 "edge-subset enumeration limited to {limit} edges, got {used}")
     masks = _edge_conflicts_induced(flat, flat.sorted_edges())
     size, witness = _mis_lex_witness(masks, len(edge_list))
     m = Matching(edge_list[i] for i in witness)
-    assert is_induced_matching(g, m)
+    if not is_induced_matching(g, m):
+        raise InvariantViolation(f"max_induced_matching_bruteforce: {m} is not an induced matching")
     return size, m
 
 
@@ -582,20 +581,18 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     if isinstance(order, VertexOrder):
         # Fixed-order mode enumerates edge subsets, so only the edge cap
         # applies; vertex count is irrelevant to the search space.
-        _edge_cap_check(edge_list)
+        caps.require("MAX_IM_EDGES", len(edge_list),
+                     "edge-subset enumeration limited to {limit} edges, got {used}")
         masks = _edge_conflicts_semi(flat, flat_edges, _flat_ranks(g, order))
         size, witness = _mis_lex_witness(masks, len(edge_list))
         m = Matching(edge_list[i] for i in witness)
-        assert is_semi_induced_matching(g, order, m)
+        if not is_semi_induced_matching(g, order, m):
+            raise InvariantViolation(f"max_semi_induced_matching_bruteforce: {m} not semi-induced")
         return size, m, order
     if order != ALL_ORDERS:
         raise InputError("order must be a VertexOrder or the string 'all'")
-    if flat.vertex_count > caps.MAX_ALL_ORDER_VERTICES:
-        raise CapExceeded(
-            f"all-orders mode limited to {caps.MAX_ALL_ORDER_VERTICES} vertices, "
-            f"got {flat.vertex_count}",
-            bound="MAX_ALL_ORDER_VERTICES",
-        )
+    caps.require("MAX_ALL_ORDER_VERTICES", flat.vertex_count,
+                 "all-orders mode limited to {limit} vertices, got {used}")
     bip = isinstance(g, BipartiteGraph)
     order_for = _order_exists_bipartite if bip else _order_exists_general
     best_pairs: list[tuple[int, int]] = []
@@ -626,7 +623,8 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     # the order of a bipartite graph ranks its lefts only
     seq.extend(v for v in range(g.left_count if bip else g.vertex_count) if v not in placed)
     witness_order = VertexOrder.from_sequence(seq)
-    assert is_semi_induced_matching(g, witness_order, m)
+    if not is_semi_induced_matching(g, witness_order, m):
+        raise InvariantViolation(f"max_semi_induced_matching_bruteforce: {m} not semi-induced")
     return len(best_pairs), m, witness_order
 
 
@@ -762,12 +760,8 @@ def _sparse_left_set(bg: BipartiteGraph, k: int) -> tuple[tuple[int, ...], int] 
 
 def balanced_bipartite_independence_bruteforce(bg: BipartiteGraph) -> int:
     """Largest k with k lefts and k rights spanning no edge at all."""
-    n = bg.left_count + bg.right_count
-    if n > caps.MAX_BBIS_VERTICES:
-        raise CapExceeded(
-            f"balanced-independence oracle limited to {caps.MAX_BBIS_VERTICES} vertices, got {n}",
-            bound="MAX_BBIS_VERTICES",
-        )
+    caps.require("MAX_BBIS_VERTICES", bg.left_count + bg.right_count,
+                 "balanced-independence oracle limited to {limit} vertices, got {used}")
     for k in range(min(bg.left_count, bg.right_count), 0, -1):
         if _sparse_left_set(bg, k) is not None:
             return k

@@ -22,7 +22,7 @@ case of the bipartite block solver, so both scan the same side.
 from __future__ import annotations
 
 from . import caps
-from .errors import CapExceeded, InputError
+from .errors import InputError, InvariantViolation
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -116,12 +116,8 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
 def _side_maximum_pairs(masks: list[int]) -> list[tuple[int, int]]:
     """(index, least private bit) for every index of _scan_side_maximum's
     set over the given side masks.  At most caps.MAX_EXACT_SIDE masks."""
-    if len(masks) > caps.MAX_EXACT_SIDE:
-        raise CapExceeded(
-            f"exact solver scans min(left, right) = {len(masks)} vertices, "
-            f"limit is {caps.MAX_EXACT_SIDE}",
-            bound="MAX_EXACT_SIDE",
-        )
+    caps.require("MAX_EXACT_SIDE", len(masks),
+                 "exact solver scans min(left, right) = {used} vertices, limit is {limit}")
     chosen = _scan_side_maximum(masks)
     pairs = []
     for i in chosen:
@@ -163,7 +159,8 @@ def block_optima_bipartite(bg: BipartiteGraph, r: int) -> list[tuple[int, Matchi
             m = Matching(sorted((w, members[i]) for i, w in pairs))
         else:
             m = Matching(sorted((members[i], w) for i, w in pairs))
-        assert is_induced_matching(bg, m)
+        if not is_induced_matching(bg, m):
+            raise InvariantViolation(f"block_optima_bipartite: {m} is not an induced matching")
         out.append((len(pairs), m))
     return out
 
@@ -199,15 +196,12 @@ def block_optima_general(g: Graph, r: int) -> list[tuple[int, Matching]]:
             )
             candidates.extend(opts)
             work *= len(opts) + 1
-        if work > caps.MAX_BLOCK_WORK:
-            raise CapExceeded(
-                f"class search space {work} exceeds {caps.MAX_BLOCK_WORK}",
-                bound="MAX_BLOCK_WORK",
-            )
+        caps.require("MAX_BLOCK_WORK", work, "class search space {used} exceeds {limit}")
         conflicts = _edge_conflicts_induced(g, candidates)
         size, witness = _mis_lex_witness(conflicts, len(candidates))
         m = Matching(sorted(candidates[i] for i in witness))
-        assert is_induced_matching(g, m)
+        if not is_induced_matching(g, m):
+            raise InvariantViolation(f"block_optima_general: {m} is not an induced matching")
         out.append((size, m))
     return out
 

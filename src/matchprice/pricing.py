@@ -25,7 +25,7 @@ import math
 from operator import itemgetter
 
 from . import caps, ratlp
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .rationals import INF, format_price, format_rational, is_infinite, parse_price, parse_rational
 
 UDP = "udp"
@@ -407,17 +407,11 @@ def opt_udp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     next budget at or above it never changes who can afford their cheapest
     item, and never lowers a payment.
     """
-    if inst.item_count > caps.MAX_UDP_ITEMS:
-        raise CapExceeded(
-            f"UDP oracle limited to {caps.MAX_UDP_ITEMS} items, got {inst.item_count}",
-            bound="MAX_UDP_ITEMS",
-        )
+    caps.require("MAX_UDP_ITEMS", inst.item_count,
+                 "UDP oracle limited to {limit} items, got {used}")
     budgets = inst.distinct_budgets()
-    if len(budgets) > caps.MAX_UDP_BUDGETS:
-        raise CapExceeded(
-            f"UDP oracle limited to {caps.MAX_UDP_BUDGETS} distinct budgets, got {len(budgets)}",
-            bound="MAX_UDP_BUDGETS",
-        )
+    caps.require("MAX_UDP_BUDGETS", len(budgets),
+                 "UDP oracle limited to {limit} distinct budgets, got {used}")
     return _search_prices(inst, UDP, budgets + [INF])
 
 
@@ -440,16 +434,9 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     vertices become Fractions, divided back by the scale.
     """
     groups = inst.groups
-    if len(groups) > caps.MAX_SMP_GROUPS:
-        raise CapExceeded(
-            f"SMP oracle limited to {caps.MAX_SMP_GROUPS} groups, got {len(groups)}",
-            bound="MAX_SMP_GROUPS",
-        )
-    if inst.item_count > caps.MAX_SMP_ITEMS:
-        raise CapExceeded(
-            f"SMP oracle limited to {caps.MAX_SMP_ITEMS} items, got {inst.item_count}",
-            bound="MAX_SMP_ITEMS",
-        )
+    caps.require("MAX_SMP_GROUPS", len(groups), "SMP oracle limited to {limit} groups, got {used}")
+    caps.require("MAX_SMP_ITEMS", inst.item_count,
+                 "SMP oracle limited to {limit} items, got {used}")
     n = inst.item_count
     scale = math.lcm(*(g.budget.denominator for g in groups))
     group_rows = [[int(i in g.bundle) for i in range(n)] for g in groups]
@@ -540,7 +527,9 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
     The branch-and-bound of _search_prices returns the best of all
     len(ladder)^n vectors, ties to the first in product order (item 0
     outermost, rungs ascending).  MAX_GEOMETRIC_WORK counts every vector,
-    searched or cut.
+    searched or cut.  The count is computed only while it has at most as
+    many factors as the cap has bits: past that, with two or more rungs,
+    it is certainly above the cap, so the check takes bounded time.
 
     Guarantee: revenue >= opt * (alpha-1) / alpha^2, because rounding an
     optimal price vector down to the ladder keeps every buyer and costs at
@@ -551,14 +540,16 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
     if alpha <= 1:
         raise InputError(f"alpha must exceed 1, got {alpha}")
     ladder = geometric_price_set(inst, alpha)
-    work = len(ladder) ** inst.item_count
-    if work > caps.MAX_GEOMETRIC_WORK:
-        raise CapExceeded(
-            f"geometric enumeration needs {len(ladder)}^{inst.item_count} = {work} "
-            f"evaluations, limit {caps.MAX_GEOMETRIC_WORK}; use a larger alpha or "
-            f"approximation_scheme",
-            bound="MAX_GEOMETRIC_WORK",
-        )
+    n = inst.item_count
+    factors = caps.MAX_GEOMETRIC_WORK.bit_length()
+    if len(ladder) == 1 or n <= factors:
+        count, shown = len(ladder) ** n, "= {used} evaluations, limit {limit}"
+    else:
+        count = len(ladder) ** (factors + 1)
+        shown = "evaluations, more than {limit} (MAX_GEOMETRIC_WORK)"
+    caps.require("MAX_GEOMETRIC_WORK", count,
+                 f"geometric enumeration needs {len(ladder)}^{n} {shown}; "
+                 "use a larger alpha or approximation_scheme")
     return _search_prices(inst, rule, ladder)
 
 

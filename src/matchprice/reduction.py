@@ -19,7 +19,7 @@ from fractions import Fraction
 import math
 import random
 
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .graphs import BipartiteGraph, Matching, VertexOrder, bit_indices
 from .graphs import is_induced_matching, is_semi_induced_matching
 from .pricing import (
@@ -274,7 +274,8 @@ def extract_with_stats(out: ReductionOutput, prices: PriceFunction, rule: str):
         used_rights |= 1 << v
 
     matching = Matching(sorted(accepted))
-    assert is_semi_induced_matching(out.graph, order, matching)
+    if not is_semi_induced_matching(out.graph, order, matching):
+        raise InvariantViolation(f"extract_with_stats: {matching} not semi-induced under {order}")
     stats = {
         "revenue": report.revenue,
         "tight_count": len(tight),

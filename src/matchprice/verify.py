@@ -3,7 +3,9 @@
 Each check runs a small randomized experiment from a seed derived from the
 global seed and either passes or returns a JSON-able counterexample.  The
 driver collects records sorted by check name, so the report is byte-stable
-for a fixed seed regardless of execution order.
+for a fixed seed regardless of execution order.  A check that trips a
+solver's post-condition (InvariantViolation) fails with the message as its
+counterexample, and the other checks still run.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from .csp_fglss import (
     random_csp,
 )
 from .disperser import check_disperser_lemma, random_disperser, verify_disperser
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .graphs import (
     ALL_ORDERS,
     BipartiteGraph,
@@ -301,7 +303,10 @@ def run_all(scale: str = DESK, seed: int = 0) -> dict:
         raise InputError(f"unknown scale {scale!r}; supported: {', '.join(SCALES)}")
     records = []
     for name in sorted(CHECKS):
-        counterexample = CHECKS[name](derive_seed(seed, name))
+        try:
+            counterexample = CHECKS[name](derive_seed(seed, name))
+        except InvariantViolation as exc:
+            counterexample = str(exc)
         record = {"check": name, "status": "pass" if counterexample is None else "fail"}
         if counterexample is not None:
             record["counterexample"] = counterexample

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import matchprice
+from matchprice import graphs
 from matchprice.cli import dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
@@ -354,6 +355,10 @@ MALFORMED_FILES = {
     "graph_null": None,
     "graph_true": True,
     "graph_string": "n",
+    "bipartite_float_side": {"left": 2.5, "right": 2, "edges": []},
+    "graph_string_size": {"n": "3", "edges": []},
+    "graph_no_edges_key": {"n": 2},
+    "graph_float_endpoint": {"n": 2, "edges": [[0, 1.0]]},
 }
 
 REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
@@ -412,6 +417,16 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
         (["disperser", "check-lemma", "--gamma", "1/2", "--input", "{graph_string}"],
          NOT_A_GRAPH),
         (["reduce", "matching-to-pricing", "--d", "3", "--input", "{graph_int}"], NOT_A_GRAPH),
+        (["solve", "matching", "--algo", "exact", "--input", "{bipartite_float_side}"],
+         "left and right side sizes must be nonnegative integers, got 2.5 and 2"),
+        (["graph", "cover", "--input", "{graph_string_size}"],
+         "vertex count n must be a nonnegative integer, got '3'"),
+        (["solve", "matching", "--algo", "exact", "--input", "{graph_no_edges_key}"],
+         "bad graph json: missing key 'edges'"),
+        (["solve", "matching", "--algo", "exact", "--input", "{graph_edge_triple}"],
+         "edges: (0, 1, 2) is not a pair of vertices"),
+        (["graph", "cover", "--input", "{graph_float_endpoint}"],
+         "edge (0, 1.0) endpoints must be integers"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -421,7 +436,9 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "pricing-bool-items", "csp-float-num-vars", "csp-whole-float-num-vars",
          "csp-no-clauses", "pricing-float-multiplicity", "pricing-bool-multiplicity",
          "pricing-signed-multiplicity", "disperser-float-degree", "graph-int-cover",
-         "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce"],
+         "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce",
+         "bipartite-float-side", "graph-string-size", "graph-missing-edges",
+         "graph-edge-triple-named", "graph-float-endpoint"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
@@ -490,6 +507,31 @@ def test_undecodable_input_exits_two_without_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "is not valid json" in proc.stderr
+
+
+def test_geometric_refuses_a_huge_item_count_in_bounded_time(tmp_path):
+    """A ladder of two or more rungs over more items than the cap has bits
+    is refused without computing len(ladder) ** items."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "items": 100000000000, "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "1", "multiplicity": "1"}],
+    }))
+    proc = run_cli("solve", "pricing", "--algo", "geometric", "--input", str(path),
+                   preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("refused: ") and "MAX_GEOMETRIC_WORK" in proc.stderr
+    assert "more than 2000000" in proc.stderr
+
+
+def test_invariant_failure_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "is_induced_matching", lambda g, m: False)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    assert main(["solve", "matching", "--algo", "exact", "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant failed: max_induced_matching_bruteforce:")
 
 
 def test_fglss_allocates_only_for_variables_in_some_label(tmp_path):

@@ -5,15 +5,19 @@ the randomised loops cross-check the specialised oracles against plain
 subset enumeration, which is implemented independently here.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchprice import caps, matching_solvers
+from matchprice import caps, graphs, matching_solvers
 from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     ALL_ORDERS,
@@ -603,3 +607,23 @@ def test_masks_match_the_validated_edge_list(case):
             [(i, w) for i, u in enumerate(lefts) for x, w in work_edges if x == u],
         )
         assert call.args[0] == [want.left_mask(i) for i in range(want.left_count)]
+
+
+def test_witness_check_survives_python_O():
+    """Under python -O an assert would vanish; the post-condition still raises."""
+    script = (
+        "from matchprice import graphs\n"
+        "from matchprice.errors import InvariantViolation\n"
+        "graphs.is_induced_matching = lambda g, m: False\n"
+        "try:\n"
+        "    graphs.max_induced_matching_bruteforce(graphs.Graph(2, [(0, 1)]))\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False max_induced_matching_bruteforce: ")

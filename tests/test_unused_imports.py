@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, and every
 module-level private name of the package is referenced somewhere in it.
+Only caps.py constructs CapExceeded, every caps.require call names a
+declared cap as a string literal, and no assert statement remains.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -10,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from matchprice import caps
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchprice"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -82,3 +86,68 @@ def test_private_checker_sees_unreferenced_names():
 def test_package_references_every_private_name():
     sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+def cap_exceeded_calls(source: str) -> list[str]:
+    """Lines that construct CapExceeded, by name or as an attribute."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CapExceeded"
+    ]
+
+
+def test_cap_exceeded_checker_sees_both_spellings():
+    source = "raise CapExceeded('x', bound='A')\nraise errors.CapExceeded('y')\nCapExceeded\n"
+    assert cap_exceeded_calls(source) == ["line 1", "line 2"]
+
+
+def test_only_caps_constructs_cap_exceeded():
+    found = {p.name: cap_exceeded_calls(p.read_text()) for p in SOURCES}
+    assert {name for name, lines in found.items() if lines} == {"caps.py"}
+
+
+def bad_require_calls(source: str, cap_names) -> list[str]:
+    """caps.require calls whose first argument is not a literal cap name."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "require"
+            and getattr(node.func.value, "id", None) == "caps"
+        ):
+            first = node.args[0] if node.args else None
+            if not (isinstance(first, ast.Constant) and first.value in cap_names):
+                bad.append(f"line {node.lineno}")
+    return bad
+
+
+def test_require_checker_sees_unknown_and_computed_names():
+    source = (
+        "caps.require('MAX_A', n, 'm')\ncaps.require('MAX_B', n, 'm')\n"
+        "caps.require(name, n, 'm')\nother.require(name)\n"
+    )
+    assert bad_require_calls(source, {"MAX_A"}) == ["line 2", "line 3"]
+
+
+def test_every_require_names_a_declared_cap():
+    for path in SOURCES:
+        assert bad_require_calls(path.read_text(), caps._DEFAULTS) == [], path.name
+
+
+def assert_statements(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_checker_sees_nested_asserts():
+    source = "def f(x):\n    if x:\n        assert x > 0\n    return x\nassert f(1)\n"
+    assert assert_statements(source) == ["line 5", "line 3"]
+
+
+def test_package_has_no_assert_statements():
+    """Post-conditions raise InvariantViolation, which python -O keeps."""
+    found = {p.name: assert_statements(p.read_text()) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from matchprice.errors import InputError
+from matchprice.errors import InputError, InvariantViolation
 from matchprice.verify import CHECKS, derive_seed, run_all
 
 
@@ -38,3 +38,20 @@ def test_report_embeds_provenance():
 def test_unknown_scale_rejected():
     with pytest.raises(InputError):
         run_all("warehouse", 0)
+
+
+def test_invariant_violation_fails_only_its_check(monkeypatch):
+    def broken(seed):
+        raise InvariantViolation("max_induced_matching_bruteforce: witness is not induced")
+
+    monkeypatch.setitem(CHECKS, "graphs.order_relaxation", broken)
+    report = run_all("desk", 0)
+    assert report["ok"] is False
+    records = {record["check"]: record for record in report["checks"]}
+    assert set(records) == set(CHECKS)
+    assert records.pop("graphs.order_relaxation") == {
+        "check": "graphs.order_relaxation",
+        "status": "fail",
+        "counterexample": "max_induced_matching_bruteforce: witness is not induced",
+    }
+    assert all(record["status"] == "pass" for record in records.values())
