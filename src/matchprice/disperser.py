@@ -24,6 +24,7 @@ from .errors import InputError
 from .graphs import (
     BipartiteGraph,
     VertexOrder,
+    _json_edges,
     _sparse_left_set,
     balanced_bipartite_independence_bruteforce,
     bipartite_double_cover,
@@ -69,7 +70,7 @@ class DisperserGraph(BipartiteGraph):
             return cls(
                 obj["left"],
                 obj["right"],
-                [tuple(e) for e in obj["edges"]],
+                _json_edges(obj["edges"]),
                 obj["target_degree"],
             )
         except KeyError as exc:

@@ -104,7 +104,7 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         try:
-            return cls(obj["n"], [tuple(e) for e in obj["edges"]])
+            return cls(obj["n"], _json_edges(obj["edges"]))
         except KeyError as exc:
             raise InputError(f"bad graph json: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -113,6 +113,14 @@ class Graph:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_edges(edges) -> list:
+    """A json edge list with its [u, w] lists as tuples, or InputError
+    naming the field; the constructor checks each entry with _edge_ends."""
+    if not isinstance(edges, (list, tuple)):
+        raise InputError("edges must be a list of [u, w] pairs")
+    return [tuple(e) if isinstance(e, list) else e for e in edges]
 
 
 def _edge_ends(edge) -> tuple[int, int]:
@@ -226,7 +234,7 @@ class BipartiteGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "BipartiteGraph":
         try:
-            return cls(obj["left"], obj["right"], [tuple(e) for e in obj["edges"]])
+            return cls(obj["left"], obj["right"], _json_edges(obj["edges"]))
         except KeyError as exc:
             raise InputError(f"bad bipartite graph json: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

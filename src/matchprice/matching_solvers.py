@@ -59,8 +59,17 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
     Every maximum subset starts at or before the index k where the bound
     last grew, and the sweep's step at k found the least one starting
     there; a search for bound[0] members from each index before k in turn
-    finds any lesser one."""
+    finds any lesser one.
+
+    When every mask keeps a bit that no other mask holds, all n indices
+    form a valid set, the one maximum, and no search is needed."""
     n = len(masks)
+    seen = shared = 0
+    for m in masks:
+        shared |= seen & m
+        seen |= m
+    if all(m & ~shared for m in masks):
+        return list(range(n))
     bound = [0] * (n + 1)
 
     def extend(start: int, chosen: list[int], privates: list[int], union_mask: int, need: int) -> bool:

@@ -1,28 +1,41 @@
 """Exact linear maximization over {x >= 0 : Ax <= b}, pivoting in integers.
 
-Dense tableau simplex with Bland's rule, which cannot cycle, so termination
+Dictionary simplex with Bland's rule, which cannot cycle, so termination
 is guaranteed.  Sized for the winner-subset pricing oracle, which solves
 one small program (a handful of variables and constraints) per subset.
 
-The tableau holds only ints.  Each constraint row is scaled together with
-its bound by the lcm of their denominators, and the objective by its own
-lcm; the slack columns stay the identity.  Pivots then follow the
-integer-preserving (fraction-free) elimination of E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968): the integer tableau is d times the
-rational one, where d is the previous pivot (1 at the start), and the
-update T[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // d divides exactly.
+The dictionary holds only ints.  Each constraint row is scaled together
+with its bound by the lcm of their denominators, and the objective by its
+own lcm; the slacks start as the basis with coefficient 1.  Pivots then
+follow the integer-preserving (fraction-free) elimination of E. H.
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968): the integer entries are d times the
+rational ones, where d is the previous pivot (1 at the start), and the
+update T[i][j] = (T[i][j]*p - T[i][s]*T[r][j]) // d divides exactly.
 
-Every pivot is the one Bland's rule takes on the unscaled program.  Scaling
-a row by a positive factor leaves its ratios b_i / a_ie unchanged.  Keeping
-its slack column the identity rescales that slack variable, which
+The dictionary is the full tableau without its basic columns, as lrs
+pivots it (D. Avis, "lrs: a revised implementation of the reverse search
+vertex enumeration algorithm", 2000): a column per nonbasic variable plus
+the right-hand side, a row per basic variable.  A basic column is d in its
+own row, 0 elsewhere and in the cost row, so dropping it loses nothing.
+A pivot on row r and column s exchanges basis[r] and nonbasic[s]: column
+s takes the leaving variable's column as the full update leaves it, -f in
+every other row and the cost row (f their old entry in column s) and the
+old d in row r; the rest of row r is unchanged.
+
+Every pivot is the one Bland's rule takes on the unscaled program.
+Scaling a row by a positive factor leaves its ratios b_i / a_is unchanged.
+Keeping its slack coefficient 1 rescales that slack variable, which
 multiplies the slack's reduced cost, and every ratio in its column, by one
 positive factor; scaling the objective multiplies every reduced cost by
 one.  And d > 0 throughout, so the integer entries have the signs of the
 rational ones.  Hence the signs of the reduced costs, the order of the
 ratios (compared by cross-multiplication) and the ties among them are the
-same, and so are the entering column, the leaving row and the vertex
-returned.
+same.  The entering variable is the least variable index with a positive
+reduced cost, as over the full tableau's columns (a basic one has reduced
+cost 0), and not the least column position, which exchanges permute.  So
+the entering variable, the leaving row, every d and the vertex returned
+are those of the full tableau.
 
 maximize_int is that pivot loop alone: int entries in, the value and
 vertex out as ints over the last pivot.  maximize checks and scales its
@@ -87,51 +100,55 @@ def maximize_int(objective, rows, bounds) -> tuple[int, list[int], int]:
     len(objective) entries and every bound nonnegative.  Returns
     (value numerator, vertex numerators, d): the optimal value and vertex
     are those ints over d, the last pivot (d > 0, and not reduced).
-    Raises InputError on an unbounded program.
+    The dictionary is built from copies, so the caller's lists are never
+    written.  Raises InputError on an unbounded program.
     """
     n = len(objective)
-    m = len(rows)
-    # Columns: n originals, m slacks, then the right-hand side.
-    tableau = []
-    for i, row in enumerate(rows):
-        slack = [0] * m
-        slack[i] = 1
-        tableau.append([*row, *slack, bounds[i]])
-    # Reduced-cost row; its rhs entry accumulates -(objective value) times
-    # the current d.
-    cost = [*objective] + [0] * (m + 1)
-    basis = [n + i for i in range(m)]
+    # Row i: the coefficients of the nonbasic variables nonbasic[0..n-1]
+    # in the equation of basis[i], then its right-hand side.
+    tableau = [[*row, b] for row, b in zip(rows, bounds)]
+    # Reduced costs; the rhs entry accumulates -(objective value) times d.
+    cost = [*objective, 0]
+    nonbasic = list(range(n))
+    basis = list(range(n, n + len(tableau)))
     d = 1
 
     while True:
-        entering = next((j for j in range(n + m) if cost[j] > 0), None)
-        if entering is None:
+        # Least variable index with a positive reduced cost (Bland).
+        s = None
+        for j in range(n):
+            if cost[j] > 0 and (s is None or nonbasic[j] < nonbasic[s]):
+                s = j
+        if s is None:
             break
         # Least ratio rhs / column entry, then least basis index (Bland).
         r = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            a = row[s]
             if a > 0:
                 if r is None:
-                    r = i
+                    r, p, b_r = i, a, row[-1]
                     continue
-                lhs = tableau[i][-1] * tableau[r][entering]
-                rhs = tableau[r][-1] * a
+                lhs = row[-1] * p
+                rhs = b_r * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                    r = i
+                    r, p, b_r = i, a, row[-1]
         if r is None:
             raise InputError("linear program is unbounded")
 
+        # Exchange: column s becomes the leaving variable's, -f in every
+        # other row and d in row r; row r is otherwise unchanged.
         pivot_row = tableau[r]
-        p = pivot_row[entering]
-        for i in range(m):
-            row = tableau[i]
-            f = row[entering]
+        for i, row in enumerate(tableau):
+            f = row[s]
             if i != r and (f or p != d):
-                tableau[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-        f = cost[entering]
+                row = tableau[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+                row[s] = -f
+        f = cost[s]
         cost = [(a * p - f * b) // d for a, b in zip(cost, pivot_row)]
-        basis[r] = entering
+        cost[s] = -f
+        pivot_row[s] = d
+        nonbasic[s], basis[r] = basis[r], nonbasic[s]
         d = p
 
     x = [0] * n

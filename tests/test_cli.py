@@ -306,6 +306,8 @@ def labeled_pair(labels):
 
 MALFORMED_FILES = {
     "graph_edge_triple": {"n": 3, "edges": [[0, 1, 2]]},
+    "graph_edge_int": {"n": 3, "edges": [5]},
+    "bipartite_edges_int": {"left": 2, "right": 2, "edges": 7},
     "bipartite_edge_single": {"left": 2, "right": 2, "edges": [[0]]},
     "disperser_edge_triple": {
         "left": 2, "right": 2, "edges": [[0, 1, 1]], "target_degree": 1,
@@ -427,6 +429,9 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "edges: (0, 1, 2) is not a pair of vertices"),
         (["graph", "cover", "--input", "{graph_float_endpoint}"],
          "edge (0, 1.0) endpoints must be integers"),
+        (["graph", "cover", "--input", "{graph_edge_int}"], "edges: 5 is not a pair of vertices"),
+        (["solve", "matching", "--algo", "exact", "--input", "{bipartite_edges_int}"],
+         "edges must be a list of [u, w] pairs"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -438,7 +443,8 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "pricing-signed-multiplicity", "disperser-float-degree", "graph-int-cover",
          "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce",
          "bipartite-float-side", "graph-string-size", "graph-missing-edges",
-         "graph-edge-triple-named", "graph-float-endpoint"],
+         "graph-edge-triple-named", "graph-float-endpoint", "graph-edge-int",
+         "bipartite-edges-int"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}

@@ -15,13 +15,15 @@ evaluate_revenue, the expanding-sequence search over (used lefts, free
 rights) and the two value recurrences that followed it (all orders on the
 free rights, one order on position and free rights), the left-subset loops
 of verify_disperser and the balanced-independence oracle, the unpruned
-combinations scan both of them came to share, the Fraction tableau simplex behind the SMP oracle, and
-the full product scan that geometric enumeration and the UDP oracle ran
+combinations scan both of them came to share, the Fraction tableau simplex behind the SMP oracle,
+the full integer tableau the dictionary simplex replaced, and the full
+product scan that geometric enumeration and the UDP oracle ran
 before their branch-and-bound search.
 The engines must return the same values and the same witnesses on every
 seeded input, and refuse the same inputs.
 """
 
+import copy
 import heapq
 import math
 import random
@@ -279,6 +281,16 @@ def test_side_scan_matches_depth_first_reference():
         seen["none_valid"] += bool(masks) and len(expected) == 0
     assert min(seen.values()) >= 5, seen
     assert sizes >= set(range(13)), sizes
+    # sparse wide sides, 20 masks over 200 bits: often every mask keeps a
+    # private bit and the whole side is the answer
+    whole_side = 0
+    for _ in range(40):
+        p = rng.choice((0.02, 0.05))
+        masks = [sum(1 << b for b in range(200) if rng.random() < p) for _ in range(20)]
+        expected = ref_scan_side_maximum(masks)
+        assert _scan_side_maximum(masks) == expected, masks
+        whole_side += expected == list(range(20))
+    assert 10 <= whole_side <= 30, whole_side
 
 
 # ---------------------------------------------------------------------------
@@ -1172,15 +1184,22 @@ def zero_one_lp(rng):
     return objective, rows, bounds
 
 
-def test_int_simplex_kernel_matches_maximize():
-    rng = random.Random(4150)
+def int_random_lps(rng, count):
+    """count of random_lp's programs that meet maximize_int's contract:
+    int entries, nonnegative bounds and full rows."""
     programs = []
-    while len(programs) < 600:
+    while len(programs) < count:
         objective, rows, bounds = random_lp(rng)
         entries = (*objective, *bounds, *(a for row in rows for a in row))
         if (all(type(v) is int for v in entries) and min(bounds, default=0) >= 0
                 and all(len(row) == len(objective) for row in rows)):
             programs.append((objective, rows, bounds))
+    return programs
+
+
+def test_int_simplex_kernel_matches_maximize():
+    rng = random.Random(4150)
+    programs = int_random_lps(rng, 600)
     programs += [zero_one_lp(rng) for _ in range(1500)]
     kinds = {}
     for lp in programs:
@@ -1189,6 +1208,118 @@ def test_int_simplex_kernel_matches_maximize():
         kind = expected[1] if expected[0] == "refused" else "solved"
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["solved"] > 1000 and kinds["linear program is unbounded"] > 100
+
+
+def ref_maximize_int(objective, rows, bounds):
+    n = len(objective)
+    m = len(rows)
+    # Columns: n originals, m slacks, then the right-hand side.
+    tableau = []
+    for i, row in enumerate(rows):
+        slack = [0] * m
+        slack[i] = 1
+        tableau.append([*row, *slack, bounds[i]])
+    # Reduced-cost row; its rhs entry accumulates -(objective value) times
+    # the current d.
+    cost = [*objective] + [0] * (m + 1)
+    basis = [n + i for i in range(m)]
+    d = 1
+
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] > 0), None)
+        if entering is None:
+            break
+        # Least ratio rhs / column entry, then least basis index (Bland).
+        r = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs = tableau[i][-1] * tableau[r][entering]
+                rhs = tableau[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            raise InputError("linear program is unbounded")
+
+        pivot_row = tableau[r]
+        p = pivot_row[entering]
+        for i in range(m):
+            row = tableau[i]
+            f = row[entering]
+            if i != r and (f or p != d):
+                tableau[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        f = cost[entering]
+        cost = [(a * p - f * b) // d for a, b in zip(cost, pivot_row)]
+        basis[r] = entering
+        d = p
+
+    x = [0] * n
+    for i, variable in enumerate(basis):
+        if variable < n:
+            x[variable] = tableau[i][-1]
+    return -cost[-1], x, d
+
+
+def int_lp(rng):
+    """Up to 6 variables and 7 rows of ints from -9 to 12, many of them 0 or
+    1, and bounds from 0 to 9: more pivots on entries other than 1 than
+    random_lp's programs take."""
+
+    def coefficient():
+        return rng.choice((0, 0, 1, rng.randint(-4, 5), rng.randint(-9, 12)))
+
+    n = rng.randint(1, 6)
+    rows = [[coefficient() for _ in range(n)] for _ in range(rng.randint(0, 7))]
+    bounds = [rng.choice((0, 0, 1, 2, rng.randint(0, 9))) for _ in rows]
+    return [coefficient() for _ in range(n)], rows, bounds
+
+
+def kernel_outcome(kernel, objective, rows, bounds):
+    """kernel's (value, x, d), or its refusal; the program must come back
+    unwritten."""
+    before = copy.deepcopy((objective, rows, bounds))
+    try:
+        outcome = kernel(objective, rows, bounds)
+    except InputError as e:
+        outcome = "refused", str(e)
+    assert (objective, rows, bounds) == before, "the kernel wrote into its input"
+    return outcome
+
+
+def test_dictionary_kernel_takes_the_full_tableau_pivots(monkeypatch):
+    """maximize_int returns the full integer tableau's (value, x, d) on every
+    oracle program of three 6-item, 10-group instances, on 0/1 programs and
+    on int programs with negative entries, ties and unbounded columns.  The
+    last pivot d agrees too, so the pivot path is pinned, not only the
+    vertex."""
+    oracle_programs = []
+    maximize_int = ratlp.maximize_int
+
+    def recording_maximize_int(objective, rows, bounds):
+        oracle_programs.append((objective, rows, bounds))
+        return maximize_int(objective, rows, bounds)
+
+    monkeypatch.setattr(ratlp, "maximize_int", recording_maximize_int)
+    rng = random.Random(4160)
+    for _ in range(3):
+        opt_smp_bruteforce(smp_vertex_instance(rng, 6, 10))
+    monkeypatch.undo()
+    assert len(oracle_programs) == 3 * 1023
+    programs = oracle_programs + [zero_one_lp(rng) for _ in range(1000)] + int_random_lps(rng, 600)
+    programs += [int_lp(rng) for _ in range(1500)]
+    kinds = {}
+    pivoted = 0
+    for lp in programs:
+        expected = kernel_outcome(ref_maximize_int, *lp)
+        assert kernel_outcome(ratlp.maximize_int, *lp) == expected, lp
+        kind = expected[1] if expected[0] == "refused" else "solved"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        pivoted += kind == "solved" and expected[2] > 1
+    assert kinds["solved"] > 4000 and kinds["linear program is unbounded"] > 100, kinds
+    assert pivoted > 100, pivoted
 
 
 def smp_vertex_instance(rng, n=None, group_count=None):
