@@ -5,10 +5,11 @@ Conventions shared by every subcommand:
 - each handler returns (exit code, artifact, report) and writes nothing;
   ``main`` passes them to ``emit``, the one output path. The artifact (a
   graph, CSP, instance, price vector or witness, in its documented bare
-  JSON shape) goes to ``--out``; commands that make none (``disperser
-  verify``, ``disperser check-lemma``, ``pipeline run``, ``verify all``)
-  send their report there instead. ``-`` or no ``--out`` means stdout, and
-  the report goes to stdout unless stdout already holds the artifact, so
+  JSON shape) goes to ``--out``. ``pipeline run`` and ``verify all`` make
+  none and send their report there instead; ``disperser verify`` and
+  ``disperser check-lemma`` make none and take no ``--out``, so their
+  report goes to stdout. ``-`` or no ``--out`` means stdout, and the
+  report goes to stdout unless stdout already holds the artifact, so
   ``--out -`` leaves one JSON document there. Only ``reduce --provenance``,
   a second artifact, is written by its handler;
 - a report embeds the command name, the seed (null for unseeded
@@ -54,6 +55,8 @@ from .matching_solvers import (
     exact_bipartite_induced_matching,
 )
 from .pricing import (
+    RULES,
+    UDP,
     approximation_scheme,
     check_rule,
     geometric_enum_approx,
@@ -91,7 +94,7 @@ def read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad json or utf-8, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad or too deep json, bad utf-8, a huge int
         raise InputError(f"{path} is not valid json: {exc}") from exc
 
 
@@ -439,6 +442,77 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _required(flag: str, kind=None):
+    return flag, {"type": kind, "required": True}
+
+
+# The flags several commands share.
+SEED = ("--seed", {"type": int, "default": 0})
+OUT = ("--out", {"default": "-"})
+REPORT_OUT = ("--out", {})
+INPUT = _required("--input")
+GAMMA = _required("--gamma", _fraction)
+RULE = ("--rule", {"choices": RULES, "default": UDP})
+DEGREE = _required("--d", int)
+
+# {group: (help, {leaf: (help, handler, [(flag, add_argument keywords)])})},
+# each in --help order.
+COMMANDS = {
+    "csp": ("constraint-satisfaction instances", {
+        "gen": ("sample a random CSP", cmd_csp_gen, [
+            _required("--num-vars", int), _required("--num-clauses", int),
+            _required("--arity", int), SEED, ("--balanced", {"action": "store_true"}), OUT]),
+        "amplify": ("t-fold gap amplification", cmd_csp_amplify, [
+            INPUT, _required("--t", int), _required("--m-out", int), SEED, OUT]),
+        "duplicate": ("copy every clause", cmd_csp_duplicate,
+                      [INPUT, _required("--copies", int), OUT]),
+        "fglss": ("build the conflict graph", cmd_csp_fglss, [INPUT, OUT]),
+        "replace": ("sparsify disagreement edges with dispersers", cmd_csp_replace, [
+            ("--input", {"required": True, "help": "the CSP the graph was built from"}),
+            ("--graph", {"required": True, "help": "labeled conflict graph json"}),
+            GAMMA, DEGREE, SEED, OUT]),
+    }),
+    "disperser": ("bipartite dispersers", {
+        "gen": ("sample a union of random perfect matchings", cmd_disperser_gen,
+                [_required("--n", int), DEGREE, GAMMA, SEED, OUT]),
+        "verify": ("check the dispersion property", cmd_disperser_verify, [INPUT, GAMMA]),
+        "check-lemma": ("independence and order-expansion bounds", cmd_disperser_check_lemma,
+                        [INPUT, GAMMA, SEED, ("--samples", {"type": int, "default": 50})]),
+    }),
+    "graph": ("graph constructions", {
+        "gen": ("sample a random (bipartite) graph", cmd_graph_gen, [
+            ("--n", {"type": int}), ("--left", {"type": int}), ("--right", {"type": int}),
+            _required("--p", float), SEED, OUT]),
+        "cover": ("bipartite double cover", cmd_graph_cover,
+                  [INPUT, ("--same-vertex-edges", {"action": "store_true"}), OUT]),
+    }),
+    "solve": ("matching and pricing solvers", {
+        "matching": ("maximum induced matching", cmd_solve_matching, [
+            ("--algo", {"choices": ("exact", "approx"), "required": True}),
+            ("--r", {"type": int, "default": 2, "help": "approximation parameter"}), INPUT, OUT]),
+        "pricing": ("revenue maximization", cmd_solve_pricing, [
+            ("--algo", {"choices": ("uniform", "geometric", "scheme", "oracle"),
+                        "required": True}),
+            ("--rule", {"choices": RULES}),
+            ("--alpha", {"type": _fraction, "default": Fraction(2)}),
+            ("--delta", {"type": _fraction, "default": Fraction(1, 2)}), INPUT, OUT]),
+    }),
+    "reduce": ("matching-to-pricing reduction", {
+        "matching-to-pricing": ("two-phase reduction", cmd_reduce,
+                                [DEGREE, SEED, RULE, INPUT, OUT, ("--provenance", {})]),
+    }),
+    "pipeline": ("end-to-end hardness pipeline", {
+        "run": ("CSP to pricing, reporting the gap", cmd_pipeline, [
+            _required("--csp"), _required("--t", int), ("--m-out", {"type": int}), GAMMA, DEGREE,
+            RULE, SEED, REPORT_OUT]),
+    }),
+    "verify": ("invariant suite", {
+        "all": ("run every named check", cmd_verify,
+                [("--scale", {"choices": SCALES, "default": DESK}), SEED, REPORT_OUT]),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchprice",
@@ -446,144 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matchprice {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
-
-    csp = top.add_parser("csp", help="constraint-satisfaction instances").add_subparsers(
-        dest="subcommand", required=True
-    )
-    gen = csp.add_parser("gen", help="sample a random CSP")
-    gen.add_argument("--num-vars", type=int, required=True)
-    gen.add_argument("--num-clauses", type=int, required=True)
-    gen.add_argument("--arity", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--balanced", action="store_true")
-    gen.add_argument("--out", default="-")
-    gen.set_defaults(handler=cmd_csp_gen)
-
-    amp = csp.add_parser("amplify", help="t-fold gap amplification")
-    amp.add_argument("--input", required=True)
-    amp.add_argument("--t", type=int, required=True)
-    amp.add_argument("--m-out", type=int, required=True)
-    amp.add_argument("--seed", type=int, default=0)
-    amp.add_argument("--out", default="-")
-    amp.set_defaults(handler=cmd_csp_amplify)
-
-    dup = csp.add_parser("duplicate", help="copy every clause")
-    dup.add_argument("--input", required=True)
-    dup.add_argument("--copies", type=int, required=True)
-    dup.add_argument("--out", default="-")
-    dup.set_defaults(handler=cmd_csp_duplicate)
-
-    fgl = csp.add_parser("fglss", help="build the conflict graph")
-    fgl.add_argument("--input", required=True)
-    fgl.add_argument("--out", default="-")
-    fgl.set_defaults(handler=cmd_csp_fglss)
-
-    rep = csp.add_parser("replace", help="sparsify disagreement edges with dispersers")
-    rep.add_argument("--input", required=True, help="the CSP the graph was built from")
-    rep.add_argument("--graph", required=True, help="labeled conflict graph json")
-    rep.add_argument("--gamma", type=_fraction, required=True)
-    rep.add_argument("--d", type=int, required=True)
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--out", default="-")
-    rep.set_defaults(handler=cmd_csp_replace)
-
-    disp = top.add_parser("disperser", help="bipartite dispersers").add_subparsers(
-        dest="subcommand", required=True
-    )
-    dgen = disp.add_parser("gen", help="sample a union of random perfect matchings")
-    dgen.add_argument("--n", type=int, required=True)
-    dgen.add_argument("--d", type=int, required=True)
-    dgen.add_argument("--gamma", type=_fraction, required=True)
-    dgen.add_argument("--seed", type=int, default=0)
-    dgen.add_argument("--out", default="-")
-    dgen.set_defaults(handler=cmd_disperser_gen)
-
-    dver = disp.add_parser("verify", help="check the dispersion property")
-    dver.add_argument("--input", required=True)
-    dver.add_argument("--gamma", type=_fraction, required=True)
-    dver.set_defaults(handler=cmd_disperser_verify)
-
-    dlem = disp.add_parser("check-lemma", help="independence and order-expansion bounds")
-    dlem.add_argument("--input", required=True)
-    dlem.add_argument("--gamma", type=_fraction, required=True)
-    dlem.add_argument("--seed", type=int, default=0)
-    dlem.add_argument("--samples", type=int, default=50)
-    dlem.set_defaults(handler=cmd_disperser_check_lemma)
-
-    graph = top.add_parser("graph", help="graph constructions").add_subparsers(
-        dest="subcommand", required=True
-    )
-    ggen = graph.add_parser("gen", help="sample a random (bipartite) graph")
-    ggen.add_argument("--n", type=int)
-    ggen.add_argument("--left", type=int)
-    ggen.add_argument("--right", type=int)
-    ggen.add_argument("--p", type=float, required=True)
-    ggen.add_argument("--seed", type=int, default=0)
-    ggen.add_argument("--out", default="-")
-    ggen.set_defaults(handler=cmd_graph_gen)
-
-    gcov = graph.add_parser("cover", help="bipartite double cover")
-    gcov.add_argument("--input", required=True)
-    gcov.add_argument("--same-vertex-edges", action="store_true")
-    gcov.add_argument("--out", default="-")
-    gcov.set_defaults(handler=cmd_graph_cover)
-
-    solve = top.add_parser("solve", help="matching and pricing solvers").add_subparsers(
-        dest="subcommand", required=True
-    )
-    smat = solve.add_parser("matching", help="maximum induced matching")
-    smat.add_argument("--algo", choices=("exact", "approx"), required=True)
-    smat.add_argument("--r", type=int, default=2, help="approximation parameter")
-    smat.add_argument("--input", required=True)
-    smat.add_argument("--out", default="-")
-    smat.set_defaults(handler=cmd_solve_matching)
-
-    spri = solve.add_parser("pricing", help="revenue maximization")
-    spri.add_argument(
-        "--algo", choices=("uniform", "geometric", "scheme", "oracle"), required=True
-    )
-    spri.add_argument("--rule", choices=("udp", "smp"))
-    spri.add_argument("--alpha", type=_fraction, default=Fraction(2))
-    spri.add_argument("--delta", type=_fraction, default=Fraction(1, 2))
-    spri.add_argument("--input", required=True)
-    spri.add_argument("--out", default="-")
-    spri.set_defaults(handler=cmd_solve_pricing)
-
-    red = top.add_parser("reduce", help="matching-to-pricing reduction").add_subparsers(
-        dest="subcommand", required=True
-    )
-    rmat = red.add_parser("matching-to-pricing", help="two-phase reduction")
-    rmat.add_argument("--d", type=int, required=True)
-    rmat.add_argument("--seed", type=int, default=0)
-    rmat.add_argument("--rule", choices=("udp", "smp"), default="udp")
-    rmat.add_argument("--input", required=True)
-    rmat.add_argument("--out", default="-")
-    rmat.add_argument("--provenance")
-    rmat.set_defaults(handler=cmd_reduce)
-
-    pipe = top.add_parser("pipeline", help="end-to-end hardness pipeline").add_subparsers(
-        dest="subcommand", required=True
-    )
-    prun = pipe.add_parser("run", help="CSP to pricing, reporting the gap")
-    prun.add_argument("--csp", required=True)
-    prun.add_argument("--t", type=int, required=True)
-    prun.add_argument("--m-out", type=int)
-    prun.add_argument("--gamma", type=_fraction, required=True)
-    prun.add_argument("--d", type=int, required=True)
-    prun.add_argument("--rule", choices=("udp", "smp"), default="udp")
-    prun.add_argument("--seed", type=int, default=0)
-    prun.add_argument("--out")
-    prun.set_defaults(handler=cmd_pipeline)
-
-    ver = top.add_parser("verify", help="invariant suite").add_subparsers(
-        dest="subcommand", required=True
-    )
-    vall = ver.add_parser("all", help="run every named check")
-    vall.add_argument("--scale", choices=SCALES, default=DESK)
-    vall.add_argument("--seed", type=int, default=0)
-    vall.add_argument("--out")
-    vall.set_defaults(handler=cmd_verify)
-
+    for group, (group_help, leaves) in COMMANDS.items():
+        subparsers = top.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for leaf, (leaf_help, handler, arguments) in leaves.items():
+            command = subparsers.add_parser(leaf, help=leaf_help)
+            for flag, keywords in arguments:
+                command.add_argument(flag, **keywords)
+            command.set_defaults(handler=handler)
     return parser
 
 

@@ -113,7 +113,7 @@ def instance_to_json(inst: PricingInstance, rule: str) -> dict:
             {
                 "bundle": g.sorted_bundle(),
                 "budget": format_rational(g.budget),
-                "multiplicity": str(g.multiplicity),
+                "multiplicity": format_rational(g.multiplicity),
             }
             for g in inst.groups
         ],

@@ -96,9 +96,15 @@ def parse_price(text: str | int) -> Price:
     return parse_rational(text)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
+def format_rational(value: Fraction | int) -> str:
+    """An int or Fraction as its exact string ("3/4", "5"), refused like an
+    oversized input when it has more digits than Python prints."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"rational result needs more than {limit} digits") from None
 
 
 def format_price(value: Price) -> str:
-    return "inf" if value is INF else str(value)
+    return "inf" if value is INF else format_rational(value)

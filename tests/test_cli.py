@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, artifacts, reports, determinism."""
 
+import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 
 import matchprice
 from matchprice import graphs
-from matchprice.cli import dumps, main
+from matchprice.cli import COMMANDS, build_parser, dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
 
@@ -283,6 +285,51 @@ def test_every_command_reports_its_words_and_seed(tmp_path, capsys, argv, seed, 
         assert stdout == (artifact.read_text() if out == "artifact" else dumps(report))
 
 
+TABLE_PAIRS = [(group, leaf) for group, (_, leaves) in COMMANDS.items() for leaf in leaves]
+
+
+def test_routing_cases_cover_every_command():
+    assert sorted(tuple(argv[:2]) for argv, _, _ in ROUTING_CASES) == sorted(TABLE_PAIRS)
+
+
+def parser_tree(parser):
+    """The parser and every parser below it, depth first in --help order."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from parser_tree(child)
+
+
+def test_help_output_matches_golden_file(monkeypatch):
+    """Every --help page, rendered 80 columns wide: the top level, the 7
+    groups and the 15 leaves, each after a "$ <prog> --help" line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parsers = list(parser_tree(build_parser()))
+    assert len(parsers) == 1 + len(COMMANDS) + len(TABLE_PAIRS) == 23
+    rendered = "".join(f"$ {p.prog} --help\n{p.format_help()}" for p in parsers)
+    golden = Path(__file__).parent / "data" / "cli_help.txt"
+    assert rendered == golden.read_text(encoding="utf-8")
+
+
+def test_readme_subcommands_name_every_command_and_flag():
+    """The README "Subcommands" block lists exactly the table's leaves, each
+    with exactly its flags; an entry may continue on indented lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Subcommands", 1)[1].split("```", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("matchprice "):
+            flags = listed.setdefault(tuple(line.split()[1:3]), set())
+        if line.strip():
+            flags.update(re.findall(r"--[a-z][a-z-]*", line))
+    assert listed == {
+        (group, leaf): {flag for flag, _ in arguments}
+        for group, (_, leaves) in COMMANDS.items()
+        for leaf, (_, _, arguments) in leaves.items()
+    }
+
+
 def run_cli(*argv, module="matchprice.cli", preexec_fn=None, timeout=120, **environ):
     """The CLI as a subprocess, with extra environment variables."""
     src = str(Path(matchprice.__file__).resolve().parents[1])
@@ -363,6 +410,12 @@ MALFORMED_FILES = {
     "graph_float_endpoint": {"n": 2, "edges": [[0, 1.0]]},
 }
 
+# Nesting deeper than the json decoder's recursion limit; json.dumps cannot write it.
+MALFORMED_TEXTS = {
+    "deep_list": "[" * 100000,
+    "graph_deep_value": '{"n": 2, "edges": [[0, 1]], "unused": %s%s}' % ("[" * 5000, "]" * 5000),
+}
+
 REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
 PIPELINE = ["pipeline", "run", "--t", "1", "--gamma", "1/3", "--d", "2", "--csp"]
 ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
@@ -432,6 +485,9 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
         (["graph", "cover", "--input", "{graph_edge_int}"], "edges: 5 is not a pair of vertices"),
         (["solve", "matching", "--algo", "exact", "--input", "{bipartite_edges_int}"],
          "edges must be a list of [u, w] pairs"),
+        (["graph", "cover", "--input", "{deep_list}"], "deep_list.json is not valid json"),
+        (["graph", "cover", "--input", "{graph_deep_value}"],
+         "graph_deep_value.json is not valid json"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -444,13 +500,14 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce",
          "bipartite-float-side", "graph-string-size", "graph-missing-edges",
          "graph-edge-triple-named", "graph-float-endpoint", "graph-edge-int",
-         "bipartite-edges-int"],
+         "bipartite-edges-int", "deep-list", "graph-deep-value"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
-    for name, obj in MALFORMED_FILES.items():
+    texts = {name: json.dumps(obj) for name, obj in MALFORMED_FILES.items()}
+    for name, text in {**texts, **MALFORMED_TEXTS}.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(text)
         paths[name] = str(path)
     proc = run_cli(*(arg.format(**paths) for arg in argv))
     assert proc.returncode == 2, proc.stderr
@@ -503,6 +560,22 @@ def test_oversized_rational_exits_two_without_traceback(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "needs more than" in proc.stderr or "Exceeds the limit" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "-", "--provenance", "-"]],
+                         ids=["report", "artifact-and-provenance"])
+def test_unprintable_rational_result_exits_two_without_traceback(tmp_path, extra):
+    """Budgets d^-3i and multiplicities d^3i of the reduction at d = 10000
+    have more digits than Python prints: the command is refused before it
+    writes anything."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"left": 2, "right": 2, "edges": [[0, 0], [1, 1]]}))
+    proc = run_cli("reduce", "matching-to-pricing", "--d", "10000", "--input", str(path), *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    limit = sys.get_int_max_str_digits()
+    assert proc.stderr == f"error: rational result needs more than {limit} digits\n"
     assert proc.stdout == ""
 
 

@@ -123,6 +123,16 @@ def test_json_round_trips():
     assert p.to_json()["prices"] == ["1/8", "inf", "0"]
 
 
+def test_json_refuses_values_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    too_long = f"needs more than {limit} digits"
+    for big in (inst(1, ({0}, 1, 10**limit)), inst(1, ({0}, F(1, 10**limit), 1))):
+        with pytest.raises(InputError, match=too_long):
+            instance_to_json(big, UDP)
+    with pytest.raises(InputError, match=too_long):
+        PriceFunction([F(10**limit)]).to_json()
+
+
 # ---------------------------------------------------------------------------
 # revenue evaluation
 
