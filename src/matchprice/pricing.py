@@ -22,7 +22,7 @@ first maximizer in product order as scoring every vector.
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from operator import itemgetter
+from operator import add, itemgetter
 
 from . import caps, ratlp
 from .errors import InputError
@@ -426,12 +426,14 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     their bundles, which only helps.
 
     Every budget is scaled once by the lcm of the budget denominators, so
-    each LP gets int objective, 0/1 int rows and int bounds, and goes
-    straight to ratlp.maximize_int; scaling every bound by one factor
-    scales the vertex without changing a pivot.  A vertex stays in ints,
-    reduced by the gcd of its numerators and denominator so equal vertices
-    are equal tuples.  Only the distinct coordinates of the distinct
-    vertices become Fractions, divided back by the scale.
+    each LP has an int objective, 0/1 int rows and int bounds; scaling every
+    bound by one factor scales the vertex without changing a pivot.  One
+    ratlp.maximize_subsets call solves the LPs of all 2^k - 1 winner sets
+    over the k group rows: LPs whose pivots follow one path share each
+    dictionary on it, and the vertex it ends on is read once.  A vertex
+    stays in ints, reduced by the gcd of its numerators and denominator so
+    equal vertices are equal tuples.  Only the distinct coordinates of the
+    distinct vertices become Fractions, divided back by the scale.
     """
     groups = inst.groups
     caps.require("MAX_SMP_GROUPS", len(groups), "SMP oracle limited to {limit} groups, got {used}")
@@ -441,30 +443,26 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     scale = math.lcm(*(g.budget.denominator for g in groups))
     group_rows = [[int(i in g.bundle) for i in range(n)] for g in groups]
     group_budgets = [g.budget.numerator * (scale // g.budget.denominator) for g in groups]
-    maximize_int = ratlp.maximize_int
 
     # Each W splits into its low and its high half of the groups, so two
-    # tables of 2^(k/2) subsets give every W's program in ascending group
-    # order without keeping one per mask.
-    def subsets(part):
-        """(objective, rows, budgets) of each subset of part, indexed by its
-        mask over part, groups in ascending order."""
-        table = [([0] * n, [], [])]
+    # tables of 2^(k/2) objectives give every W's without keeping one per mask.
+    def objectives(part):
+        """The objective of each subset of part, indexed by its mask over part."""
+        table = [[0] * n]
         for j in part:
-            row, budget, multiplicity = group_rows[j], group_budgets[j], groups[j].multiplicity
-            table += [([a + multiplicity * b for a, b in zip(objective, row)], [*rows, row], [*budgets, budget])
-                      for objective, rows, budgets in table]
+            row, multiplicity = group_rows[j], groups[j].multiplicity
+            table += [[a + multiplicity * b for a, b in zip(objective, row)] for objective in table]
         return table
 
     half = len(groups) // 2
-    low, high = subsets(range(half)), subsets(range(half, len(groups)))
+    low, high = objectives(range(half)), objectives(range(half, len(groups)))
     low_mask = (1 << half) - 1
+
+    def objective(mask):
+        return list(map(add, low[mask & low_mask], high[mask >> half]))
+
     vertices = {(0,) * n + (1,)}  # (numerators, denominator), gcd-reduced
-    for mask in range(1, 1 << len(groups)):
-        low_objective, low_rows, low_budgets = low[mask & low_mask]
-        high_objective, high_rows, high_budgets = high[mask >> half]
-        objective = [a + b for a, b in zip(low_objective, high_objective)]
-        _, x, d = maximize_int(objective, low_rows + high_rows, low_budgets + high_budgets)
+    for x, d, _ in ratlp.maximize_subsets(n, group_rows, group_budgets, range(1, 1 << len(groups)), objective):
         common = math.gcd(d, *x)
         if common > 1:
             x = [v // common for v in x]
@@ -611,16 +609,74 @@ def extend_prices(inst: PricingInstance, sub_item_set, p_sub: PriceFunction, rul
     return PriceFunction(full)
 
 
+def _ceil_power(n: int, delta: Fraction) -> int:
+    """ceil(n ** delta), exactly, for an int n >= 1 and 0 < delta < 1:
+    the least q >= 1 with q^b >= n^a, for delta = a/b in lowest terms.
+
+    A bisection over q compares q^b with n^a through bounds on each
+    (_power_bounds) of `bits` bits, so no power is built with a large
+    exponent and a delta such as 1/10^12 costs microseconds, not
+    gigabytes.  Bounds that overlap are retried with twice the bits.  They
+    are exact once the powers fit, so this ends also when q^b == n^a: then
+    n^delta is rational, so an integer, and n = t^b for an integer t,
+    since a and b are coprime; for n >= 2 that needs b < n.bit_length(),
+    and the powers have fewer than n.bit_length()^2 bits.
+    """
+    a, b = delta.numerator, delta.denominator
+    low, high = 1, n
+    bits = 64
+    while low < high:
+        q = (low + high) // 2
+        q_low, q_high, q_shift = _power_bounds(q, b, bits)
+        n_low, n_high, n_shift = _power_bounds(n, a, bits)
+        if not _below(q_low, q_shift, n_high, n_shift):
+            high = q
+        elif _below(q_high, q_shift, n_low, n_shift):
+            low = q + 1
+        else:
+            bits *= 2
+    return low
+
+
+def _power_bounds(x: int, e: int, bits: int) -> tuple[int, int, int]:
+    """(low, high, shift) with low * 2^shift <= x^e <= high * 2^shift, for
+    ints x >= 1 and e >= 0: x^e by repeated squaring, each product cut to
+    its top `bits` bits, rounding low down and high up."""
+    low = high = 1
+    shift = 0
+    base_low = base_high = x
+    base_shift = 0
+    while e:
+        if e & 1:
+            low, high, shift = _cut(low * base_low, high * base_high, shift + base_shift, bits)
+        e >>= 1
+        if e:
+            base_low, base_high, base_shift = _cut(base_low**2, base_high**2, 2 * base_shift, bits)
+    return low, high, shift
+
+
+def _cut(low: int, high: int, shift: int, bits: int) -> tuple[int, int, int]:
+    drop = max(0, high.bit_length() - bits)
+    return low >> drop, -(-high >> drop), shift + drop
+
+
+def _below(x: int, s: int, y: int, t: int) -> bool:
+    """x * 2^s < y * 2^t for ints x, y >= 0, without building 2^s or 2^t:
+    a shift past the other side's bit length decides it already."""
+    if s >= t:
+        return x << min(s - t, y.bit_length()) < y
+    return x < y << min(t - s, x.bit_length())
+
+
 def scheme_breakpoints(inst: PricingInstance, delta: Fraction) -> tuple[int, bool]:
     """(block count ceil(n^delta), whether the uniform branch is taken).
 
-    The block count is computed in exact integer arithmetic; the branch
-    test n^delta > log m follows the analysis and uses the natural log
-    (float evaluation, fine at desk scale where ties do not occur).
+    The block count is exact (_ceil_power); the branch test n^delta >
+    log m follows the analysis and uses the natural log (float evaluation,
+    fine at desk scale where ties do not occur).
     """
     n = inst.item_count
-    a, b = delta.numerator, delta.denominator
-    q = next(q for q in range(1, n + 1) if q**b >= n**a)
+    q = _ceil_power(n, delta)
     m = inst.total_multiplicity
     uniform_branch = m == 0 or float(n) ** float(delta) > math.log(m)
     return q, uniform_branch

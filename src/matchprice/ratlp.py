@@ -2,7 +2,8 @@
 
 Dictionary simplex with Bland's rule, which cannot cycle, so termination
 is guaranteed.  Sized for the winner-subset pricing oracle, which solves
-one small program (a handful of variables and constraints) per subset.
+one small program (a handful of variables and constraints) per subset,
+all subsets of one row set together.
 
 The dictionary holds only ints.  Each constraint row is scaled together
 with its bound by the lcm of their denominators, and the objective by its
@@ -17,11 +18,19 @@ The dictionary is the full tableau without its basic columns, as lrs
 pivots it (D. Avis, "lrs: a revised implementation of the reverse search
 vertex enumeration algorithm", 2000): a column per nonbasic variable plus
 the right-hand side, a row per basic variable.  A basic column is d in its
-own row, 0 elsewhere and in the cost row, so dropping it loses nothing.
-A pivot on row r and column s exchanges basis[r] and nonbasic[s]: column
-s takes the leaving variable's column as the full update leaves it, -f in
-every other row and the cost row (f their old entry in column s) and the
-old d in row r; the rest of row r is unchanged.
+own row and 0 elsewhere, so dropping it loses nothing.  A pivot on row r
+and column s exchanges basis[r] and nonbasic[s]: column s takes the
+leaving variable's column as the full update leaves it, -f in every other
+row (f its old entry in column s) and the old d in row r; the rest of
+row r is unchanged.
+
+No cost row is kept.  The full tableau's cost row, times d, is d c minus
+c_u times the row of each basic variable u, since that combination is 0 in
+every basic column; a slack's c is 0.  So the reduced cost of the
+nonbasic variable v in column s, times d, is d c_v minus a c_u over the
+rows of the basic original variables u, a their entry in column s: the
+int the Bareiss update of a cost row would hold.  It is computed from the
+objective at each dictionary, as far as Bland's rule reads it.
 
 Every pivot is the one Bland's rule takes on the unscaled program.
 Scaling a row by a positive factor leaves its ratios b_i / a_is unchanged.
@@ -37,15 +46,34 @@ cost 0), and not the least column position, which exchanges permute.  So
 the entering variable, the leaving row, every d and the vertex returned
 are those of the full tableau.
 
-maximize_int is that pivot loop alone: int entries in, the value and
-vertex out as ints over the last pivot.  maximize checks and scales its
+Programs over subsets of one row set share their pivots.  After a
+sequence of pivots, a dictionary row depends only on its own initial row
+and bound and on the pivot rows, which are rows of the program itself: the
+rows it lacks play no part.  So every program whose pivots have followed
+one path sees the same rows at its end, and only its objective differs.
+The slack of row i is numbered n + i over the whole row set.  A subset's
+rows keep their ascending order, so its slacks compare as they would if
+numbered by position among its own rows, and each of Bland's choices is
+the one the program takes alone: the same pivots, every d and the vertex.
+maximize_subsets runs the programs of many subsets this way, depth first
+on one stack.  The programs at a dictionary are split by the pivot each
+takes next (entering column, leaving row), and each part continues from
+one dictionary built after that pivot.  The leaving row is the first of the
+program's own rows in one order per dictionary and column (least ratio,
+then least basis index), and the vertex at the end of a path is read
+once for every program that ends there.  Only masks are kept: a
+program's reduced costs come from objective(mask) at each dictionary, and
+its value numerator is objective . x.
+
+maximize_int is the one-program case.  maximize checks and scales its
 input, calls it, and builds Fractions only for the vertex and its value.
-The SMP oracle calls maximize_int directly, since its rows are already
-0/1 and its bounds ints.
+The SMP oracle calls maximize_subsets once per instance, since its rows
+are already 0/1 and its bounds ints.
 """
 
 from fractions import Fraction
 import math
+from operator import itemgetter, mul
 
 from .errors import InputError
 
@@ -101,58 +129,122 @@ def maximize_int(objective, rows, bounds) -> tuple[int, list[int], int]:
     (value numerator, vertex numerators, d): the optimal value and vertex
     are those ints over d, the last pivot (d > 0, and not reduced).
     The dictionary is built from copies, so the caller's lists are never
-    written.  Raises InputError on an unbounded program.
+    written.  Raises InputError on an unbounded program.  This is
+    maximize_subsets with one program, over every row.
     """
-    n = len(objective)
+    [(x, d, _)] = maximize_subsets(len(objective), rows, bounds, [(1 << len(rows)) - 1], lambda mask: objective)
+    return sum(map(mul, objective, x)), x, d
+
+
+def maximize_subsets(n, rows, bounds, masks, objective):
+    """maximize_int on many programs over subsets of one row set, together.
+
+    rows and bounds are as for maximize_int, each row of n entries.  For
+    each mask in masks, the program maximizes objective(mask) . x, a list
+    of n ints, subject to the rows whose bits are set in mask.
+    objective(mask) is called at each dictionary the program reaches, so
+    it must return equal lists each time.  Yields (x, d, done) once for
+    each dictionary some programs end on, with done their masks: for each,
+    x and d are those maximize_int returns on its rows alone, in ascending
+    order.  No input list is written.  Raises InputError if some program
+    is unbounded.
+    """
     # Row i: the coefficients of the nonbasic variables nonbasic[0..n-1]
     # in the equation of basis[i], then its right-hand side.
     tableau = [[*row, b] for row, b in zip(rows, bounds)]
-    # Reduced costs; the rhs entry accumulates -(objective value) times d.
-    cost = [*objective, 0]
-    nonbasic = list(range(n))
-    basis = list(range(n, n + len(tableau)))
-    d = 1
+    # Each entry: a dictionary, the pivot (column s, row r) some programs
+    # take from it next, or None at the root, and their masks.
+    stack = [(tableau, list(range(n, n + len(tableau))), list(range(n)), 1, None, None, masks)]
+    while stack:
+        tableau, basis, nonbasic, d, s, r, masks = stack.pop()
+        if s is not None:
+            # The parent dictionary goes with the last entry that holds it.
+            tableau, basis, nonbasic, d = _pivoted(tableau, basis, nonbasic, d, s, r)
+        done = []
+        parts = {}
+        for mask, s, r in _steps(tableau, basis, nonbasic, d, masks, objective):
+            if s is None:
+                done.append(mask)
+            else:
+                parts.setdefault((s, r), []).append(mask)
+        del masks
+        stack += [(tableau, basis, nonbasic, d, s, r, part) for (s, r), part in parts.items()]
+        del parts
+        if done:
+            x = [0] * n
+            for i, variable in enumerate(basis):
+                if variable < n:
+                    x[variable] = tableau[i][-1]
+            yield x, d, done
+            del done
 
-    while True:
+
+def _steps(tableau, basis, nonbasic, d, masks, objective):
+    """(mask, s, r) for each program: the column and row of the pivot
+    Bland's rule takes next on its own rows, or s None at its optimum."""
+    n = len(nonbasic)
+    # Least variable index first: an exchange permutes the columns.  Each
+    # column's variable v, and its entries a in the rows of the basic
+    # original variables u: its reduced cost times d is d c_v - sum a c_u.
+    basic = [(u, row) for u, row in zip(basis, tableau) if u < n]
+    columns = [(s, v, [(u, row[s]) for u, row in basic if row[s]])
+               for s, v in sorted(enumerate(nonbasic), key=itemgetter(1))]
+    orders = {}
+    for mask in masks:
+        c = objective(mask)
         # Least variable index with a positive reduced cost (Bland).
-        s = None
-        for j in range(n):
-            if cost[j] > 0 and (s is None or nonbasic[j] < nonbasic[s]):
-                s = j
-        if s is None:
-            break
-        # Least ratio rhs / column entry, then least basis index (Bland).
-        r = None
-        for i, row in enumerate(tableau):
-            a = row[s]
-            if a > 0:
-                if r is None:
-                    r, p, b_r = i, a, row[-1]
-                    continue
-                lhs = row[-1] * p
-                rhs = b_r * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                    r, p, b_r = i, a, row[-1]
-        if r is None:
+        for s, v, entries in columns:
+            reduced = d * c[v] if v < n else 0
+            for u, a in entries:
+                reduced -= a * c[u]
+            if reduced > 0:
+                break
+        else:
+            yield mask, None, None
+            continue
+        order = orders.get(s)
+        if order is None:
+            order = orders[s] = _leaving_order(tableau, basis, s)
+        # The first of its own rows in the leaving order.
+        for r in order:
+            if mask >> r & 1:
+                break
+        else:
             raise InputError("linear program is unbounded")
+        yield mask, s, r
 
-        # Exchange: column s becomes the leaving variable's, -f in every
-        # other row and d in row r; row r is otherwise unchanged.
-        pivot_row = tableau[r]
-        for i, row in enumerate(tableau):
+
+def _leaving_order(tableau, basis, s):
+    """The rows with a positive entry in column s, least ratio rhs / entry
+    first, then least basis index (Bland).  Over the common denominator
+    lcm of the entries, the ratios compare as cross-multiplication does."""
+    candidates = [i for i, row in enumerate(tableau) if row[s] > 0]
+    scale = math.lcm(*[tableau[i][s] for i in candidates])
+    return sorted(candidates, key=lambda i: (tableau[i][-1] * (scale // tableau[i][s]), basis[i]))
+
+
+def _pivoted(tableau, basis, nonbasic, d, s, r):
+    """(tableau, basis, nonbasic, d) after the pivot on row r and column s.
+
+    Every other row becomes (a*p - f*b) // d, with f its entry in column
+    s, and -f in column s, which becomes the leaving variable's: d in row
+    r, whose other entries are unchanged.  A row the pivot leaves
+    unchanged (f = 0 and p = d) is shared with the parent, and no row is
+    written.
+    """
+    pivot_row = tableau[r]
+    p = pivot_row[s]
+    pivoted = []
+    for i, row in enumerate(tableau):
+        if i == r:
+            row = row.copy()
+            row[s] = d
+        elif row[s] or p != d:
             f = row[s]
-            if i != r and (f or p != d):
-                row = tableau[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-                row[s] = -f
-        f = cost[s]
-        cost = [(a * p - f * b) // d for a, b in zip(cost, pivot_row)]
-        cost[s] = -f
-        pivot_row[s] = d
-        nonbasic[s], basis[r] = basis[r], nonbasic[s]
-        d = p
-
-    x = [0] * n
-    for i, variable in enumerate(basis):
-        if variable < n:
-            x[variable] = tableau[i][-1]
-    return -cost[-1], x, d
+            row = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+            row[s] = -f
+        pivoted.append(row)
+    basis = basis.copy()
+    nonbasic = nonbasic.copy()
+    nonbasic[s], basis[r] = basis[r], nonbasic[s]
+    return pivoted, basis, nonbasic, p

@@ -603,6 +603,21 @@ def test_geometric_refuses_a_huge_item_count_in_bounded_time(tmp_path):
     assert "more than 2000000" in proc.stderr
 
 
+def test_scheme_with_a_tiny_delta_runs_in_bounded_memory(tmp_path):
+    """delta = 1/10^12 on two items: the block count needs no 10^12-th
+    power, so the scheme answers under a 1 GiB address-space limit."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "items": 2, "rule": "smp",
+        "groups": [{"bundle": [0, 1], "budget": "3", "multiplicity": "2"},
+                   {"bundle": [1], "budget": "1", "multiplicity": "1"}],
+    }))
+    proc = run_cli("solve", "pricing", "--algo", "scheme", "--delta", "1/1000000000000",
+                   "--input", str(path), preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_invariant_failure_exits_four(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graphs, "is_induced_matching", lambda g, m: False)
     path = tmp_path / "g.json"

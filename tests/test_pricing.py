@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from matchprice import ratlp
+from matchprice import pricing, ratlp
 from matchprice.errors import CapExceeded, InputError
 from matchprice.pricing import (
     SMP,
@@ -511,6 +511,48 @@ def test_scheme_breakpoints_exact_blocks():
     i4 = inst(4, ({0}, 1, 1))
     assert scheme_breakpoints(i4, F(1, 2))[0] == 2
     assert scheme_breakpoints(i4, F(9, 10))[0] == 4  # ceil(4^0.9) = ceil(3.48)
+
+
+def test_scheme_block_count_is_the_least_q_with_q_to_b_at_least_n_to_a():
+    """ceil(n^(a/b)) equals the exact search over q for every n up to 64
+    and every delta with denominator up to 12, perfect powers included,
+    and for 22 deltas over 997 and 1000."""
+    deltas = {F(a, b) for b in range(2, 13) for a in range(1, b)}
+    deltas |= {F(a, b) for b in (997, 1000) for a in (1, 2, 332, 333, 334, 499, 500, 501, 666, 995, 996)}
+    for n in range(1, 65):
+        i = inst(n, ({0}, 1, 1))
+        for delta in deltas:
+            a, b = delta.numerator, delta.denominator
+            assert scheme_breakpoints(i, delta)[0] == next(q for q in range(1, n + 1) if q**b >= n**a), (n, delta)
+
+
+def test_scheme_block_count_at_perfect_powers_past_64_bits():
+    """n = t^b: n^(a/b) = t^a exactly, where bounds on q^b and n^a cannot
+    tell them apart; one off n, the count is the least q with q^b >= n^a."""
+    for t, b in ((3, 41), (2, 67), (5, 30), (7, 25)):
+        for a in (1, 2, b - 1):
+            for n in (t**b - 1, t**b, t**b + 1):
+                q = scheme_breakpoints(inst(n, ({0}, 1, 1)), F(a, b))[0]
+                assert q**b >= n**a and (q - 1) ** b < n**a, (t, b, a, n)
+            assert scheme_breakpoints(inst(t**b, ({0}, 1, 1)), F(a, b))[0] == t**a
+
+
+def test_scheme_block_count_for_a_tiny_delta():
+    """n^(1/10^12) is just above 1 for n >= 2, so the count is 2; no power
+    with that exponent is built."""
+    assert scheme_breakpoints(inst(2, ({0}, 1, 1)), F(1, 10**12))[0] == 2
+    assert scheme_breakpoints(inst(1, ({0}, 1, 1)), F(1, 10**12))[0] == 1
+    assert scheme_breakpoints(inst(64, ({0}, 1, 1)), F(10**12 - 1, 10**12))[0] == 64
+
+
+def test_shifted_comparison_matches_the_built_powers():
+    """pricing._below(x, s, y, t) is x * 2^s < y * 2^t, also for shifts far
+    past the other side's bit length and for sides 0 and 1."""
+    rng = random.Random(91)
+    for _ in range(3000):
+        x, y = (rng.choice((0, 1, 2, 3, rng.randint(0, 2**70))) for _ in range(2))
+        s, t = rng.choice((0, rng.randint(0, 8), rng.randint(0, 90))), rng.choice((0, rng.randint(0, 90)))
+        assert pricing._below(x, s, y, t) == (x << s < y << t), (x, s, y, t)
 
 
 def test_scheme_uniform_branch_matches_uniform():

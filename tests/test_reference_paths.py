@@ -30,7 +30,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 
@@ -1291,24 +1291,15 @@ def kernel_outcome(kernel, objective, rows, bounds):
 
 def test_dictionary_kernel_takes_the_full_tableau_pivots(monkeypatch):
     """maximize_int returns the full integer tableau's (value, x, d) on every
-    oracle program of three 6-item, 10-group instances, on 0/1 programs and
-    on int programs with negative entries, ties and unbounded columns.  The
-    last pivot d agrees too, so the pivot path is pinned, not only the
+    SMP oracle program of three 6-item, 10-group instances, on 0/1 programs
+    and on int programs with negative entries, ties and unbounded columns.
+    The last pivot d agrees too, so the pivot path is pinned, not only the
     vertex."""
-    oracle_programs = []
-    maximize_int = ratlp.maximize_int
-
-    def recording_maximize_int(objective, rows, bounds):
-        oracle_programs.append((objective, rows, bounds))
-        return maximize_int(objective, rows, bounds)
-
-    monkeypatch.setattr(ratlp, "maximize_int", recording_maximize_int)
     rng = random.Random(4160)
-    for _ in range(3):
-        opt_smp_bruteforce(smp_vertex_instance(rng, 6, 10))
-    monkeypatch.undo()
-    assert len(oracle_programs) == 3 * 1023
-    programs = oracle_programs + [zero_one_lp(rng) for _ in range(1000)] + int_random_lps(rng, 600)
+    oracle_lps = [lp for _ in range(3)
+                  for lp in recorded_oracle_call(smp_vertex_instance(rng, 6, 10), monkeypatch)[0]]
+    assert len(oracle_lps) == 3 * 1023
+    programs = oracle_lps + [zero_one_lp(rng) for _ in range(1000)] + int_random_lps(rng, 600)
     programs += [int_lp(rng) for _ in range(1500)]
     kinds = {}
     pivoted = 0
@@ -1353,31 +1344,185 @@ def ref_winner_vertices(inst):
     return vertices
 
 
-def test_smp_oracle_vertices_match_fraction_simplex(monkeypatch):
-    """The oracle hands maximize_int budgets scaled by the lcm of their
-    denominators; each returned vertex, divided back by its d and that
-    scale, is the Fraction simplex's vertex on the unscaled program."""
+def oracle_rows(inst):
+    """The SMP oracle's group rows and budgets: 0/1 ints, and the budgets
+    scaled by the lcm of their denominators, which it returns too."""
+    scale = math.lcm(*(g.budget.denominator for g in inst.groups))
+    rows = [[int(i in g.bundle) for i in range(inst.item_count)] for g in inst.groups]
+    return rows, [g.budget.numerator * (scale // g.budget.denominator) for g in inst.groups], scale
+
+
+def winner_objective(inst, mask):
+    """Each item's total multiplicity over the groups in mask."""
+    return [sum(g.multiplicity for j, g in enumerate(inst.groups) if mask >> j & 1 and i in g.bundle)
+            for i in range(inst.item_count)]
+
+
+def oracle_programs(inst):
+    """Each winner subset's int program in mask order, as the SMP oracle
+    poses it: its rows in ascending group order over the scaled budgets."""
+    rows, bounds, _ = oracle_rows(inst)
+    programs = []
+    for mask in range(1, 1 << len(rows)):
+        winners = [j for j in range(len(rows)) if mask >> j & 1]
+        programs.append((winner_objective(inst, mask), [rows[j] for j in winners], [bounds[j] for j in winners]))
+    return programs
+
+
+def subset_outcomes(inst):
+    """{mask: (x, d)} for every winner subset, from one maximize_subsets
+    call over the oracle's rows; the rows and budgets come back unwritten."""
+    rows, bounds, _ = oracle_rows(inst)
+    before = copy.deepcopy((rows, bounds))
+    outcomes = {}
+    for x, d, done in ratlp.maximize_subsets(inst.item_count, rows, bounds, range(1, 1 << len(rows)),
+                                             lambda mask: winner_objective(inst, mask)):
+        assert d > 0 and all(type(v) is int for v in (*x, d))
+        for mask in done:
+            assert mask not in outcomes
+            outcomes[mask] = x, d
+    assert (rows, bounds) == before, "the engine wrote into its input"
+    assert sorted(outcomes) == list(range(1, 1 << len(rows)))
+    return outcomes
+
+
+def recorded_oracle_call(inst, monkeypatch):
+    """(programs, outcomes) of the one maximize_subsets call opt_smp_bruteforce
+    makes on inst: each winner subset's program as the oracle poses it, in
+    mask order, and {mask: (x, d)} as the engine hands it back.  The rows,
+    budgets and every objective(mask) it passes must be ints, equal to
+    oracle_rows and winner_objective, and come back unwritten."""
     calls = []
-    maximize_int = ratlp.maximize_int
+    maximize_subsets = ratlp.maximize_subsets
 
-    def recording_maximize_int(objective, rows, bounds):
-        assert all(type(v) is int for v in (*objective, *bounds, *(a for row in rows for a in row)))
-        value, x, d = maximize_int(objective, rows, bounds)
-        calls.append((x, d))
-        return value, x, d
+    def recording_maximize_subsets(n, rows, bounds, masks, objective):
+        assert all(type(v) is int for v in (*bounds, *(a for row in rows for a in row)))
+        call = {"n": n, "rows": copy.deepcopy(rows), "bounds": list(bounds), "masks": list(masks),
+                "objectives": {}, "outcomes": {}}
+        calls.append(call)
 
-    monkeypatch.setattr(ratlp, "maximize_int", recording_maximize_int)
+        def recording_objective(mask):
+            cost = objective(mask)
+            assert all(type(v) is int for v in cost)
+            assert call["objectives"].setdefault(mask, list(cost)) == cost
+            return cost
+
+        for x, d, done in maximize_subsets(n, rows, bounds, call["masks"], recording_objective):
+            for mask in done:
+                assert mask not in call["outcomes"]
+                call["outcomes"][mask] = list(x), d
+            yield x, d, done
+        assert (rows, bounds) == (call["rows"], call["bounds"]), "the engine wrote into its input"
+
+    monkeypatch.setattr(ratlp, "maximize_subsets", recording_maximize_subsets)
+    opt_smp_bruteforce(inst)
+    monkeypatch.undo()
+    [call] = calls
+    masks = list(range(1, 1 << len(inst.groups)))
+    rows, bounds, _ = oracle_rows(inst)
+    assert (call["n"], call["rows"], call["bounds"], call["masks"]) == (inst.item_count, rows, bounds, masks)
+    assert sorted(call["objectives"]) == masks
+    assert all(call["objectives"][mask] == winner_objective(inst, mask) for mask in masks)
+    assert sorted(call["outcomes"]) == masks
+    programs = []
+    for mask in masks:
+        winners = [j for j in range(len(rows)) if mask >> j & 1]
+        programs.append((call["objectives"][mask], [call["rows"][j] for j in winners],
+                         [call["bounds"][j] for j in winners]))
+    return programs, call["outcomes"]
+
+
+def test_smp_oracle_vertices_match_fraction_simplex(monkeypatch):
+    """The oracle hands maximize_subsets int entries over budgets scaled by
+    the lcm of their denominators; each subset's vertex it gets back,
+    divided back by its d and that scale, is the Fraction simplex's vertex
+    on the unscaled program."""
     rng = random.Random(4200)
     lps = 0
     for _ in range(40):
         inst = smp_vertex_instance(rng)
-        calls.clear()
-        opt_smp_bruteforce(inst)
-        scale = math.lcm(*(g.budget.denominator for g in inst.groups))
-        got = [[Fraction(v, d * scale) for v in x] for x, d in calls]
+        _, outcomes = recorded_oracle_call(inst, monkeypatch)
+        _, _, scale = oracle_rows(inst)
+        got = [[Fraction(v, d * scale) for v in x] for x, d in map(outcomes.get, range(1, 1 << len(inst.groups)))]
         assert got == ref_winner_vertices(inst), inst.groups
-        lps += len(calls)
+        lps += len(outcomes)
     assert lps > 1000
+
+
+def engine_corpus(rng):
+    """smp_vertex_instance's instances up to 8 groups, with zero budgets and
+    repeated groups, plus no groups, one item, identical bundles under
+    distinct budgets, all-zero budgets and 10 groups over 6 items."""
+    instances = [smp_vertex_instance(rng) for _ in range(120)]
+    instances += [smp_vertex_instance(rng, 1, rng.randint(1, 8)) for _ in range(10)]
+    instances += [PricingInstance(rng.randint(1, 6), []) for _ in range(3)]
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        bundle = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        groups = [Group(bundle, Fraction(rng.randint(0, 4), rng.choice((1, 3))), rng.randint(1, 3))
+                  for _ in range(rng.randint(2, 7))]
+        instances.append(PricingInstance(n, groups))
+    for _ in range(5):
+        inst = smp_vertex_instance(rng)
+        instances.append(PricingInstance(inst.item_count, [Group(g.bundle, ZERO, g.multiplicity)
+                                                           for g in inst.groups]))
+    instances += [smp_vertex_instance(rng, 6, 10) for _ in range(3)]
+    return instances
+
+
+def test_subset_engine_takes_each_subsets_own_pivots():
+    """Every winner subset's (x, d) from one maximize_subsets call is the
+    full integer tableau's on that subset's program alone, and the oracle's
+    answer is the best of those vertices and the zero vertex."""
+    rng = random.Random(4250)
+    for inst in engine_corpus(rng):
+        outcomes = subset_outcomes(inst)
+        _, _, scale = oracle_rows(inst)
+        vertices = {(ZERO,) * inst.item_count}
+        for mask, lp in enumerate(oracle_programs(inst), 1):
+            _, x, d = ref_maximize_int(*lp)
+            assert outcomes[mask] == (x, d), (inst.groups, mask)
+            vertices.add(tuple(Fraction(v, d * scale) for v in x))
+        assert opt_smp_bruteforce(inst) == ref_best_prices(inst, SMP, sorted(vertices)), inst.groups
+
+
+def test_subset_engine_on_int_rows():
+    """On int_lp's rows, with negative entries and pivots other than the
+    previous d, and an objective of its own for each subset, every subset
+    gets the full integer tableau's (value, x, d); when some subset is
+    unbounded, the call refuses as maximize_int does."""
+    rng = random.Random(4260)
+    kinds = {}
+    pivoted = 0
+    for _ in range(300):
+        objective, rows, bounds = int_lp(rng)
+        n = len(objective)
+        masks = range(1 << len(rows))
+        # Mostly bounded: a column no row of the subset bounds gets no gain.
+        objectives = {mask: [rng.choice((0, 1, rng.randint(-3, 6)))
+                             if any(mask >> i & 1 and row[j] > 0 for i, row in enumerate(rows)) or rng.random() < 0.003
+                             else -rng.randint(0, 3) for j in range(n)]
+                      for mask in masks}
+        expected = {}
+        for mask in masks:
+            winners = [i for i in range(len(rows)) if mask >> i & 1]
+            lp = objectives[mask], [rows[i] for i in winners], [bounds[i] for i in winners]
+            expected[mask] = kernel_outcome(ref_maximize_int, *lp)
+        refusals = [outcome for outcome in expected.values() if outcome[0] == "refused"]
+        try:
+            got = {}
+            for x, d, done in ratlp.maximize_subsets(n, rows, bounds, masks, objectives.__getitem__):
+                for mask in done:
+                    got[mask] = sum(map(mul, objectives[mask], x)), x, d
+        except InputError as e:
+            assert refusals and str(e) == refusals[0][1]
+            kinds["refused"] = kinds.get("refused", 0) + 1
+            continue
+        assert not refusals and got == expected, (objectives, rows, bounds)
+        kinds["solved"] = kinds.get("solved", 0) + 1
+        pivoted += sum(d > 1 for _, _, d in got.values())
+    assert kinds["solved"] > 100 and kinds["refused"] > 50, kinds
+    assert pivoted > 300, pivoted
 
 
 def ref_smp_from_vertices(inst):
