@@ -513,18 +513,25 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command or, when argv starts with a group and one
+    of its leaves, of that leaf alone; either prints the same for argv."""
+    first, second = (*argv[:2], None, None)[:2]
+    narrow = second in COMMANDS.get(first, ("", {}))[1]
     parser = argparse.ArgumentParser(
         prog="matchprice",
         description="Constrained-matching and bundle-pricing toolkit",
     )
     parser.add_argument("--version", action="version", version=f"matchprice {__version__}")
-    top = parser.add_subparsers(dest="command", required=True)
-    for group, (group_help, leaves) in COMMANDS.items():
+    top = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}")
+    for group in [first] if narrow else COMMANDS:
+        group_help, leaves = COMMANDS[group]
         subparsers = top.add_parser(group, help=group_help).add_subparsers(
             dest="subcommand", required=True
         )
-        for leaf, (leaf_help, handler, arguments) in leaves.items():
+        for leaf in [second] if narrow else leaves:
+            leaf_help, handler, arguments = leaves[leaf]
             command = subparsers.add_parser(leaf, help=leaf_help)
             for flag, keywords in arguments:
                 command.add_argument(flag, **keywords)
@@ -533,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         caps.snapshot()  # reads every cap override, so a bad one stops the command up front
         code, artifact, report = args.handler(args)

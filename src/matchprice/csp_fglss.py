@@ -29,31 +29,34 @@ setting it to 0, and to 1); no vertex pair is examined on its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from . import caps
-from .errors import InputError
+from .errors import InputError, Record
 from .graphs import BipartiteGraph, Graph, bit_indices
 
 
-@dataclass(frozen=True)
-class Clause:
-    variables: tuple[int, ...]
-    satisfying: frozenset[str]
+class Clause(Record):
+    """Distinct variables and the satisfying patterns over them, in order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "satisfying", frozenset(self.satisfying))
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError(f"clause variables {self.variables} are not distinct")
-        for v in self.variables:
+    __slots__ = ("variables", "satisfying")
+
+    def __init__(self, variables, satisfying):
+        try:
+            variables = tuple(variables)
+        except TypeError:
+            raise InputError(f"clause vars {variables!r} is not a list") from None
+        satisfying = frozenset(satisfying)
+        if len(set(variables)) != len(variables):
+            raise InputError(f"clause variables {variables} are not distinct")
+        for v in variables:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"bad variable {v!r}")
-        a = len(self.variables)
-        for pat in self.satisfying:
-            if len(pat) != a or any(ch not in "01" for ch in pat):
-                raise InputError(f"pattern {pat!r} does not fit arity {a}")
+        a = len(variables)
+        for pat in satisfying:
+            if not isinstance(pat, str) or len(pat) != a or any(ch not in "01" for ch in pat):
+                raise InputError(f"satisfying pattern {pat!r} does not fit arity {a}")
+        super().__init__(variables, satisfying)
 
     @property
     def arity(self) -> int:
@@ -105,7 +108,7 @@ class CspInstance:
                 satisfying = c["satisfying"]
                 if not isinstance(satisfying, list):
                     raise InputError(f"bad csp json: satisfying {satisfying!r} is not a list")
-                clauses.append(Clause(tuple(c["vars"]), frozenset(satisfying)))
+                clauses.append(Clause(c["vars"], satisfying))
             return cls(obj["num_vars"], clauses)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad csp json: {exc}") from None

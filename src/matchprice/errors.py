@@ -1,4 +1,4 @@
-"""Exceptions shared by every module.
+"""Exceptions and the base class of immutable records, shared by every module.
 
 InputError marks malformed or out-of-contract inputs.  CapExceeded marks a
 refusal: the request is well formed but larger than the configured
@@ -30,3 +30,40 @@ class InvariantViolation(RuntimeError):
     A checked raise, not an assert, so it also holds under python -O; the
     message names the function and the invariant.
     """
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value whose fields are its class's __slots__: equal
+    only to a record of its class with equal fields, hashed and printed
+    over the fields in order, and never set after __init__.  _values keeps
+    the field tuple, so == and hash build no tuple of their own."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values):
+        _set(self, "_values", values)
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

@@ -19,13 +19,12 @@ first with branch-and-bound, which returns the same maximum and the same
 first maximizer in product order as scoring every vector.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 from operator import add, itemgetter
 
 from . import caps, ratlp
-from .errors import InputError
+from .errors import InputError, Record
 from .rationals import INF, format_price, format_rational, is_infinite, parse_price, parse_rational
 
 UDP = "udp"
@@ -41,26 +40,26 @@ def check_rule(rule) -> str:
     return rule
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     """A bundle of item indices, a budget, and a consumer multiplicity."""
 
-    bundle: frozenset
-    budget: Fraction
-    multiplicity: int
+    __slots__ = ("bundle", "budget", "multiplicity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bundle", frozenset(self.bundle))
-        object.__setattr__(self, "budget", Fraction(self.budget))
-        if not self.bundle:
+    def __init__(self, bundle, budget, multiplicity):
+        try:
+            items = frozenset(bundle)
+        except TypeError:
+            raise InputError(f"group bundle {bundle!r} is not a list of items") from None
+        budget = budget if type(budget) is Fraction else Fraction(budget)
+        if not items:
             raise InputError("group bundle must be nonempty")
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in self.bundle):
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in items):
             raise InputError("bundle entries must be item indices")
-        if self.budget < 0:
-            raise InputError(f"budget must be nonnegative, got {self.budget}")
-        m = self.multiplicity
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise InputError(f"multiplicity must be a positive integer, got {m!r}")
+        if budget < 0:
+            raise InputError(f"budget must be nonnegative, got {budget}")
+        if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
+            raise InputError(f"multiplicity must be a positive integer, got {multiplicity!r}")
+        super().__init__(items, budget, multiplicity)
 
     def sorted_bundle(self) -> list:
         return sorted(self.bundle)
@@ -132,7 +131,7 @@ def instance_from_json(obj: dict) -> tuple[PricingInstance, str]:
         rule = check_rule(obj["rule"])
         groups = [
             Group(
-                frozenset(g["bundle"]),
+                g["bundle"],
                 parse_rational(g["budget"]),
                 _decimal(g["multiplicity"]),
             )
@@ -189,19 +188,15 @@ class PriceFunction:
             raise InputError(f"bad price function json: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GroupSale:
-    """Outcome for one group: multiplicity-scaled payment and what happened."""
+class GroupSale(Record):
+    """Outcome for one group: multiplicity-scaled payment, whether it
+    bought, and the least-index cheapest bundle item under UDP (else None)."""
 
-    payment: Fraction
-    bought: bool
-    chosen_item: int | None  # least-index cheapest bundle item under UDP
+    __slots__ = ("payment", "bought", "chosen_item")
 
 
-@dataclass(frozen=True)
-class SaleReport:
-    sales: tuple
-    revenue: Fraction
+class SaleReport(Record):
+    __slots__ = ("sales", "revenue")
 
 
 def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> SaleReport:
@@ -213,34 +208,20 @@ def evaluate_revenue(inst: PricingInstance, rule: str, p: PriceFunction) -> Sale
         raise InputError("INF prices are not allowed under SMP; use 0 to give items away")
 
     sales = []
-    revenue = ZERO
     for g in inst.groups:
+        chosen = price = None
         if rule == UDP:
-            cheapest = None
-            chosen = None
             for i in g.sorted_bundle():
                 value = p[i]
-                if is_infinite(value):
-                    continue
-                if cheapest is None or value < cheapest:
-                    cheapest = value
-                    chosen = i
-            if cheapest is not None and cheapest <= g.budget:
-                payment = g.multiplicity * cheapest
-                sales.append(GroupSale(payment, True, chosen))
-            else:
-                payment = ZERO
-                sales.append(GroupSale(ZERO, False, None))
+                if not is_infinite(value) and (price is None or value < price):
+                    price, chosen = value, i
         else:
-            total = sum((p[i] for i in g.bundle), ZERO)
-            if total <= g.budget:
-                payment = g.multiplicity * total
-                sales.append(GroupSale(payment, True, None))
-            else:
-                payment = ZERO
-                sales.append(GroupSale(ZERO, False, None))
-        revenue += payment
-    return SaleReport(tuple(sales), revenue)
+            price = sum((p[i] for i in g.bundle), ZERO)
+        if price is not None and price <= g.budget:
+            sales.append(GroupSale(g.multiplicity * price, True, chosen))
+        else:
+            sales.append(GroupSale(ZERO, False, None))
+    return SaleReport(tuple(sales), sum((sale.payment for sale in sales), ZERO))
 
 
 def _scaled(inst: PricingInstance, rule: str, values) -> tuple[int, list, list, int]:
@@ -551,15 +532,13 @@ def geometric_enum_approx(inst: PricingInstance, rule: str, alpha) -> tuple[Frac
     return _search_prices(inst, rule, ladder)
 
 
-@dataclass(frozen=True)
-class SubInstance:
+class SubInstance(Record):
     """A contiguous item block with bundles restricted to it.
 
     instance item j corresponds to original item items[j].
     """
 
-    items: tuple
-    instance: PricingInstance
+    __slots__ = ("items", "instance")
 
 
 def partition_items(inst: PricingInstance, q: int) -> list:

@@ -14,12 +14,11 @@ a semi-induced matching for the color-based order.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 import math
 import random
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, Record
 from .graphs import BipartiteGraph, Matching, VertexOrder, bit_indices
 from .graphs import is_induced_matching, is_semi_induced_matching
 from .pricing import (
@@ -97,20 +96,19 @@ def congestion_filter(g: BipartiteGraph, coloring: Coloring, d: int):
     return tuple(high), BipartiteGraph._from_masks(g.left_count, g.right_count, left_adj)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """The pricing instance plus everything needed to map answers back."""
+class ReductionOutput(Record):
+    """The pricing instance plus everything needed to map answers back.
+    right_of_item maps item index -> right vertex of the reduced graph
+    (graph, G'), item_of_right_vertex is its inverse, and
+    group_of_left_vertex maps left vertex -> group index."""
 
-    instance: PricingInstance
-    right_of_item: tuple  # item index -> right vertex of the reduced graph
-    item_of_right_vertex: dict  # inverse of the above
-    group_of_left_vertex: dict  # left vertex -> group index
-    coloring: Coloring
-    d: int
-    graph: BipartiteGraph  # the reduced graph G'
-    removed_rights: tuple = ()
-    seed: int | None = None
-    rule: str | None = None
+    __slots__ = ("instance", "right_of_item", "item_of_right_vertex", "group_of_left_vertex",
+                 "coloring", "d", "graph", "removed_rights", "seed", "rule")
+
+    def __init__(self, instance, right_of_item, item_of_right_vertex, group_of_left_vertex,
+                 coloring, d, graph, removed_rights=(), seed=None, rule=None):
+        super().__init__(instance, right_of_item, item_of_right_vertex, group_of_left_vertex,
+                         coloring, d, graph, removed_rights, seed, rule)
 
     def to_json(self) -> dict:
         if self.rule is None:
@@ -127,12 +125,14 @@ class ReductionOutput:
         }
 
 
-def build_pricing_instance(gprime: BipartiteGraph, coloring: Coloring, d: int) -> ReductionOutput:
+def build_pricing_instance(gprime: BipartiteGraph, coloring: Coloring, d: int,
+                           removed_rights=(), seed=None, rule=None) -> ReductionOutput:
     """One item per non-isolated right vertex; one weighted group per left.
 
     A left vertex u of color i yields budget d^{-3i} and multiplicity
     d^{3i}, so budget * multiplicity = 1 for every group.  Isolated
-    vertices (on either side) are dropped: they cannot trade.
+    vertices (on either side) are dropped: they cannot trade.  reduce_full
+    passes the last three arguments, its provenance.
     """
     if len(coloring) != gprime.left_count:
         raise InputError(
@@ -156,15 +156,8 @@ def build_pricing_instance(gprime: BipartiteGraph, coloring: Coloring, d: int) -
         group_of[u] = len(groups)
         groups.append(Group(bundle, Fraction(1, scale), scale))
     instance = PricingInstance(len(rights), groups)
-    return ReductionOutput(
-        instance=instance,
-        right_of_item=tuple(rights),
-        item_of_right_vertex=item_of,
-        group_of_left_vertex=group_of,
-        coloring=coloring,
-        d=d,
-        graph=gprime,
-    )
+    return ReductionOutput(instance, tuple(rights), item_of, group_of, coloring, d, gprime,
+                           removed_rights, seed, rule)
 
 
 def matching_to_prices(out: ReductionOutput, m: Matching, rule: str) -> PriceFunction:
@@ -301,5 +294,4 @@ def reduce_full(g: BipartiteGraph, d: int, seed: int, rule: str) -> ReductionOut
     check_rule(rule)
     coloring = color_left(g, d, seed)
     removed, gprime = congestion_filter(g, coloring, d)
-    out = build_pricing_instance(gprime, coloring, d)
-    return replace(out, removed_rights=removed, seed=seed, rule=rule)
+    return build_pricing_instance(gprime, coloring, d, removed, seed, rule)

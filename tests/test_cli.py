@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import matchprice
-from matchprice import graphs
+from matchprice import cli, graphs
 from matchprice.cli import COMMANDS, build_parser, dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
@@ -312,6 +312,63 @@ def test_help_output_matches_golden_file(monkeypatch):
     assert rendered == golden.read_text(encoding="utf-8")
 
 
+def golden_pages():
+    """{prog: its --help page} from the golden file."""
+    text = (Path(__file__).parent / "data" / "cli_help.txt").read_text(encoding="utf-8")
+    parts = re.split(r"^\$ (.*) --help\n", text, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("group, leaf", TABLE_PAIRS)
+def test_leaf_help_from_its_own_parser_matches_golden_file(monkeypatch, capsys, group, leaf):
+    """main builds the top parser, one group and one leaf for a leaf's
+    words, and prints the page the full tree prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def recorded(argv=()):
+        parser = build_parser(argv)
+        built.append([p.prog for p in parser_tree(parser)])
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    with pytest.raises(SystemExit) as stop:
+        main([group, leaf, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == golden_pages()[f"matchprice {group} {leaf}"]
+    assert built == [["matchprice", f"matchprice {group}", f"matchprice {group} {leaf}"]]
+
+
+BAD_USAGE = [[group, leaf] for group, leaf in TABLE_PAIRS
+             if any(keywords.get("required") for _, keywords in COMMANDS[group][1][leaf][2])]
+BAD_USAGE += [["verify", "all", "--bogus"], ["solve", "pricing", "--algo", "best"],
+              ["graph", "gen", "--p", "x"], ["verify", "nothing"], ["nothing"], []]
+
+
+@pytest.mark.parametrize("argv", BAD_USAGE, ids=lambda argv: " ".join(argv) or "no-words")
+def test_usage_errors_match_the_full_tree(monkeypatch, capsys, argv):
+    """A missing or bad flag reads the same on stderr, with exit 2, as
+    when every parser is built."""
+    monkeypatch.setenv("COLUMNS", "80")
+    results = []
+    for parse in (build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        captured = capsys.readouterr()
+        results.append((stop.value.code, captured.out, captured.err))
+    assert results[1] == results[0]
+    assert results[0][0] == 2 and "error:" in results[0][2]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    src = str(Path(matchprice.__file__).resolve().parents[1])
+    probe = "import sys, matchprice.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_readme_subcommands_name_every_command_and_flag():
     """The README "Subcommands" block lists exactly the table's leaves, each
     with exactly its flags; an entry may continue on indented lines."""
@@ -393,6 +450,12 @@ MALFORMED_FILES = {
         "items": 1, "rule": "udp",
         "groups": [{"bundle": [0], "budget": "3", "multiplicity": True}],
     },
+    "pricing_int_bundle": {
+        "items": 1, "rule": "udp",
+        "groups": [{"bundle": 5, "budget": "3", "multiplicity": "1"}],
+    },
+    "csp_int_vars": {"num_vars": 2, "clauses": [{"vars": 5, "satisfying": ["01"]}]},
+    "csp_int_pattern": {"num_vars": 2, "clauses": [{"vars": [0, 1], "satisfying": [1]}]},
     "pricing_signed_multiplicity": {
         "items": 1, "rule": "udp",
         "groups": [{"bundle": [0], "budget": "3", "multiplicity": "+2"}],
@@ -488,6 +551,10 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
         (["graph", "cover", "--input", "{deep_list}"], "deep_list.json is not valid json"),
         (["graph", "cover", "--input", "{graph_deep_value}"],
          "graph_deep_value.json is not valid json"),
+        (ORACLE + ["{pricing_int_bundle}"], "group bundle 5 is not a list of items"),
+        (["csp", "fglss", "--input", "{csp_int_vars}"], "clause vars 5 is not a list"),
+        (["csp", "fglss", "--input", "{csp_int_pattern}"],
+         "satisfying pattern 1 does not fit arity 2"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -500,7 +567,8 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce",
          "bipartite-float-side", "graph-string-size", "graph-missing-edges",
          "graph-edge-triple-named", "graph-float-endpoint", "graph-edge-int",
-         "bipartite-edges-int", "deep-list", "graph-deep-value"],
+         "bipartite-edges-int", "deep-list", "graph-deep-value", "pricing-int-bundle",
+         "csp-int-vars", "csp-int-pattern"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
