@@ -46,17 +46,18 @@ class Clause(Record):
             variables = tuple(variables)
         except TypeError:
             raise InputError(f"clause vars {variables!r} is not a list") from None
-        satisfying = frozenset(satisfying)
-        if len(set(variables)) != len(variables):
-            raise InputError(f"clause variables {variables} are not distinct")
+        satisfying = tuple(satisfying)
+        # entries are checked before set() and frozenset() hash them
         for v in variables:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"bad variable {v!r}")
+        if len(set(variables)) != len(variables):
+            raise InputError(f"clause variables {variables} are not distinct")
         a = len(variables)
         for pat in satisfying:
             if not isinstance(pat, str) or len(pat) != a or any(ch not in "01" for ch in pat):
                 raise InputError(f"satisfying pattern {pat!r} does not fit arity {a}")
-        super().__init__(variables, satisfying)
+        super().__init__(variables, frozenset(satisfying))
 
     @property
     def arity(self) -> int:
@@ -66,27 +67,20 @@ class Clause(Record):
         return sorted(self.satisfying)
 
 
-class CspInstance:
+class CspInstance(Record):
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
         if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0:
             raise InputError(f"num_vars must be a nonnegative integer, got {num_vars!r}")
-        self.num_vars = num_vars
-        self.clauses = tuple(clauses)
-        for c in self.clauses:
+        clauses = tuple(clauses)
+        for c in clauses:
             if not isinstance(c, Clause):
                 raise InputError("clauses must be Clause objects")
             for v in c.variables:
                 if v >= num_vars:
                     raise InputError(f"variable {v} out of range for num_vars={num_vars}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CspInstance)
-            and self.num_vars == other.num_vars
-            and self.clauses == other.clauses
-        )
+        super().__init__(num_vars, clauses)
 
     def __repr__(self):
         return f"CspInstance(num_vars={self.num_vars}, clauses={len(self.clauses)})"
@@ -110,7 +104,9 @@ class CspInstance:
                     raise InputError(f"bad csp json: satisfying {satisfying!r} is not a list")
                 clauses.append(Clause(c["vars"], satisfying))
             return cls(obj["num_vars"], clauses)
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad csp json: missing key {exc}") from None
+        except TypeError as exc:
             raise InputError(f"bad csp json: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""Exceptions and the base class of immutable records, shared by every module.
+"""Exceptions, and Record, the base of all twelve immutable value classes.
 
 InputError marks malformed or out-of-contract inputs.  CapExceeded marks a
 refusal: the request is well formed but larger than the configured

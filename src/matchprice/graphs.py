@@ -34,7 +34,7 @@ import random
 from itertools import combinations
 
 from . import caps
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, Record
 
 ALL_ORDERS = "all"
 
@@ -204,11 +204,6 @@ class BipartiteGraph:
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self._left_adj + self._right_adj), default=0)
 
-    def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph._from_masks(
-            self.right_count, self.left_count, self._right_adj, self._left_adj
-        )
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, mask in enumerate(self._left_adj) for w in bit_indices(mask)]
 
@@ -256,16 +251,17 @@ def load_graph_json(obj: dict):
     raise InputError("json object is neither a graph nor a bipartite graph")
 
 
-class Matching:
+class Matching(Record):
     """A list of vertex pairs.  Validity is checked against a host graph."""
 
     __slots__ = ("edges",)
 
     def __init__(self, edges):
-        self.edges = tuple(tuple(e) for e in edges)
-        for e in self.edges:
+        edges = tuple(tuple(e) for e in edges)
+        for e in edges:
             if len(e) != 2:
                 raise InputError(f"matching edge {e} is not a pair")
+        super().__init__(edges)
 
     def __len__(self):
         return len(self.edges)
@@ -273,17 +269,11 @@ class Matching:
     def __iter__(self):
         return iter(self.edges)
 
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.edges == other.edges
-
-    def __hash__(self):
-        return hash(self.edges)
-
     def __repr__(self):
         return f"Matching({list(self.edges)})"
 
 
-class VertexOrder:
+class VertexOrder(Record):
     """Bijection vertex -> rank in [0, n).
 
     For a bipartite graph the order ranks the left side only; for a general
@@ -293,9 +283,10 @@ class VertexOrder:
     __slots__ = ("ranks",)
 
     def __init__(self, ranks):
-        self.ranks = tuple(ranks)
-        if sorted(self.ranks) != list(range(len(self.ranks))):
+        ranks = tuple(ranks)
+        if sorted(ranks) != list(range(len(ranks))):
             raise InputError("ranks must be a bijection onto [0, n)")
+        super().__init__(ranks)
 
     @classmethod
     def from_sequence(cls, seq) -> "VertexOrder":
@@ -313,12 +304,6 @@ class VertexOrder:
 
     def __len__(self):
         return len(self.ranks)
-
-    def __eq__(self, other):
-        return isinstance(other, VertexOrder) and self.ranks == other.ranks
-
-    def __hash__(self):
-        return hash(self.ranks)
 
     def __repr__(self):
         return f"VertexOrder({list(self.ranks)})"

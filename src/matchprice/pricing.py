@@ -65,22 +65,26 @@ class Group(Record):
         return sorted(self.bundle)
 
 
-class PricingInstance:
+class PricingInstance(Record):
     """Items 0..item_count-1 plus a tuple of weighted groups."""
 
-    __slots__ = ("item_count", "groups", "k")
+    __slots__ = ("item_count", "groups")
 
     def __init__(self, item_count: int, groups):
         if not isinstance(item_count, int) or isinstance(item_count, bool) or item_count < 1:
             raise InputError(f"item_count must be a positive integer, got {item_count}")
-        self.item_count = item_count
-        self.groups = tuple(groups)
-        for g in self.groups:
+        groups = tuple(groups)
+        for g in groups:
             if not isinstance(g, Group):
                 raise InputError("groups must be Group values")
             if any(not 0 <= i < item_count for i in g.bundle):
                 raise InputError(f"bundle {sorted(g.bundle)} out of range for {item_count} items")
-        self.k = max((len(g.bundle) for g in self.groups), default=0)
+        super().__init__(item_count, groups)
+
+    @property
+    def k(self) -> int:
+        """The largest bundle size."""
+        return max((len(g.bundle) for g in self.groups), default=0)
 
     @property
     def total_multiplicity(self) -> int:
@@ -88,16 +92,6 @@ class PricingInstance:
 
     def distinct_budgets(self) -> list:
         return sorted({g.budget for g in self.groups})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PricingInstance)
-            and self.item_count == other.item_count
-            and self.groups == other.groups
-        )
-
-    def __hash__(self):
-        return hash((self.item_count, self.groups))
 
     def __repr__(self):
         return f"PricingInstance(items={self.item_count}, groups={len(self.groups)}, k={self.k})"
@@ -137,12 +131,14 @@ def instance_from_json(obj: dict) -> tuple[PricingInstance, str]:
             )
             for g in obj["groups"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"bad pricing instance json: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad pricing instance json: {exc}") from None
     return PricingInstance(items, groups), rule
 
 
-class PriceFunction:
+class PriceFunction(Record):
     """One price per item: a nonnegative Fraction or INF."""
 
     __slots__ = ("prices",)
@@ -157,7 +153,7 @@ class PriceFunction:
             if value < 0:
                 raise InputError(f"prices must be nonnegative, got {value}")
             entries.append(value)
-        self.prices = tuple(entries)
+        super().__init__(tuple(entries))
 
     def __len__(self):
         return len(self.prices)
@@ -167,12 +163,6 @@ class PriceFunction:
 
     def __iter__(self):
         return iter(self.prices)
-
-    def __eq__(self, other):
-        return isinstance(other, PriceFunction) and self.prices == other.prices
-
-    def __hash__(self):
-        return hash(self.prices)
 
     def __repr__(self):
         return "PriceFunction([" + ", ".join(format_price(p) for p in self.prices) + "])"
@@ -184,7 +174,9 @@ class PriceFunction:
     def from_json(cls, obj: dict) -> "PriceFunction":
         try:
             return cls([parse_price(p) for p in obj["prices"]])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad price function json: missing key {exc}") from None
+        except TypeError as exc:
             raise InputError(f"bad price function json: {exc}") from None
 
 

@@ -23,6 +23,10 @@ class _Infinite:
     def __repr__(self) -> str:
         return "INF"
 
+    def __reduce__(self):
+        # the module's global name, so copy and pickle return the singleton
+        return "INF"
+
 
 INF = _Infinite()
 

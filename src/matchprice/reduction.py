@@ -42,25 +42,22 @@ def congestion_threshold(d: int) -> int:
     return max(2, math.ceil(3 * math.log(d) / math.log(math.log(d))))
 
 
-class Coloring:
+class Coloring(Record):
     """Color in [1, d] for every left vertex."""
 
     __slots__ = ("colors", "d")
 
     def __init__(self, colors, d: int):
-        self.colors = tuple(colors)
-        self.d = d
-        if any(not 1 <= c <= d for c in self.colors):
+        colors = tuple(colors)
+        if any(not 1 <= c <= d for c in colors):
             raise InputError(f"colors must lie in [1, {d}]")
+        super().__init__(colors, d)
 
     def __len__(self):
         return len(self.colors)
 
     def __getitem__(self, u: int) -> int:
         return self.colors[u]
-
-    def __eq__(self, other):
-        return isinstance(other, Coloring) and self.colors == other.colors and self.d == other.d
 
     def to_json(self) -> dict:
         return {"d": self.d, "colors": list(self.colors)}

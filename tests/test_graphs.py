@@ -570,8 +570,6 @@ def test_masks_match_the_validated_edge_list(case):
     assert bg.edge_count() == len(bg.edges)
     assert_same_graph(BipartiteGraph.from_json(bg.to_json()), bg)
     assert_same_graph(BipartiteGraph(left, right, reversed(bip_pairs)), bg)
-    assert_same_graph(bg.transpose(), BipartiteGraph(right, left, [(w, u) for u, w in bip_pairs]))
-    assert_same_graph(bg.transpose().transpose(), bg)
     assert_same_graph(
         bipartite_to_graph(bg), Graph(left + right, [(u, left + w) for u, w in bip_pairs])
     )

@@ -78,7 +78,7 @@ def test_exact_transposes_wide_graphs():
     rng = random.Random(11)
     edges = [(u, w) for u in range(25) for w in range(3) if rng.random() < 0.3]
     wide = BipartiteGraph(25, 3, edges)
-    tall = wide.transpose()
+    tall = BipartiteGraph(3, 25, [(w, u) for u, w in edges])
     assert exact_bipartite_induced_matching(wide)[0] == exact_bipartite_induced_matching(tall)[0]
     size, m = exact_bipartite_induced_matching(wide)
     assert is_induced_matching(wide, m)
@@ -115,7 +115,7 @@ def test_exact_returns_least_maximum_set_and_least_privates():
         BipartiteGraph(6, 7, [(1, 0), (1, 1), (3, 1), (3, 2), (4, 3)]),
         BipartiteGraph(8, 8, product(range(8), range(8))),
         # 13 lefts and 5 rights: the scan runs over the rights
-        random_bipartite(5, 13, 0.3, seed=6).transpose(),
+        BipartiteGraph(13, 5, [(w, u) for u, w in random_bipartite(5, 13, 0.3, seed=6).edges]),
     ]
     for left in range(9):
         for right in range(9):

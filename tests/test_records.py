@@ -1,6 +1,8 @@
-"""The six immutable records: equality, hash, repr, immutability and
-ReductionOutput's defaults, pinned against the frozen dataclasses they
-replaced (the repr strings were printed by those)."""
+"""The twelve immutable records: equality, hash, repr, immutability and
+ReductionOutput's defaults.  Six replaced frozen dataclasses and keep the
+repr strings those printed; Matching, VertexOrder, PriceFunction,
+PricingInstance and CspInstance keep their own repr, and Coloring, which
+had none, prints Record's."""
 
 import copy
 import pickle
@@ -8,11 +10,20 @@ from fractions import Fraction
 
 import pytest
 
-from matchprice.csp_fglss import Clause
+from matchprice.csp_fglss import Clause, CspInstance
 from matchprice.errors import Record
-from matchprice.graphs import BipartiteGraph
-from matchprice.pricing import Group, GroupSale, PricingInstance, SaleReport, SubInstance
+from matchprice.graphs import BipartiteGraph, Matching, VertexOrder
+from matchprice.pricing import (
+    Group,
+    GroupSale,
+    PriceFunction,
+    PricingInstance,
+    SaleReport,
+    SubInstance,
+)
+from matchprice.rationals import INF
 from matchprice.reduction import (
+    Coloring,
     ReductionOutput,
     build_pricing_instance,
     color_left,
@@ -38,6 +49,14 @@ CASES = [
      "SubInstance(items=(0, 1), instance=PricingInstance(items=2, groups=1, k=2))"),
     (Clause((0, 2), {"01"}), ("variables", "satisfying"), ((0, 1), {"10"}),
      "Clause(variables=(0, 2), satisfying=frozenset({'01'}))"),
+    (Matching([(0, 1), (2, 3)]), ("edges",), (((0, 2),),), "Matching([(0, 1), (2, 3)])"),
+    (VertexOrder([1, 2, 0]), ("ranks",), ((0, 1, 2),), "VertexOrder([1, 2, 0])"),
+    (PriceFunction([F(1, 2), INF]), ("prices",), ((F(1, 2), F(0)),), "PriceFunction([1/2, inf])"),
+    (INSTANCE, ("item_count", "groups"), (3, (Group([0], 1, 1),)),
+     "PricingInstance(items=2, groups=1, k=2)"),
+    (CspInstance(2, [Clause((0, 1), {"01"})]), ("num_vars", "clauses"), (3, ()),
+     "CspInstance(num_vars=2, clauses=1)"),
+    (Coloring((1, 3, 2), 3), ("colors", "d"), ((1, 1, 1), 4), "Coloring(colors=(1, 3, 2), d=3)"),
     (ReductionOutput(INSTANCE, (5, 7), {5: 0, 7: 1}, {0: 0}, None, 3, None),
      ("instance", "right_of_item", "item_of_right_vertex", "group_of_left_vertex", "coloring",
       "d", "graph", "removed_rights", "seed", "rule"),

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, and every
 module-level private name of the package is referenced somewhere in it.
 Only caps.py constructs CapExceeded, every caps.require call names a
-declared cap as a string literal, and no assert statement remains.
+declared cap as a string literal, no assert statement remains, and only
+errors.Record, Graph and BipartiteGraph define __eq__ or __hash__.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -151,3 +152,36 @@ def test_package_has_no_assert_statements():
     """Post-conditions raise InvariantViolation, which python -O keeps."""
     found = {p.name: assert_statements(p.read_text()) for p in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def equality_classes(source: str) -> list[str]:
+    """Classes whose body defines or assigns __eq__ or __hash__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            if names & {"__eq__", "__hash__"}:
+                found.append(node.name)
+    return found
+
+
+def test_equality_checker_sees_methods_and_assignments():
+    source = (
+        "class A:\n    def __eq__(self, o):\n        return True\n"
+        "class B:\n    __hash__ = None\n"
+        "class C:\n    def __repr__(self):\n        return 'C'\n"
+    )
+    assert equality_classes(source) == ["A", "B"]
+
+
+def test_only_the_value_bases_define_equality():
+    """errors.Record decides equality and hashing for every value class;
+    Graph and BipartiteGraph compare masks their constructors do not take."""
+    found = {(p.name, name) for p in SOURCES for name in equality_classes(p.read_text())}
+    assert found == {("errors.py", "Record"), ("graphs.py", "Graph"),
+                     ("graphs.py", "BipartiteGraph")}
