@@ -38,7 +38,7 @@ from .csp_fglss import (
     random_csp,
 )
 from .disperser import check_disperser_lemma, random_disperser, verify_disperser
-from .errors import CapExceeded, InputError, InvariantViolation
+from .errors import CapExceeded, InputError, InvariantViolation, is_int, json_list, load
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -141,18 +141,17 @@ def load_csp(path: str) -> CspInstance:
 
 def load_conflict_graph(path: str):
     """Read the {"graph": ..., "labels": ...} artifact written by csp fglss."""
-    obj = read_json(path)
-    if not isinstance(obj, dict) or "graph" not in obj or "labels" not in obj:
-        raise InputError(f"{path} does not hold a labeled conflict graph")
-    graph = Graph.from_json(obj["graph"])
-    labels = obj["labels"]
-    if not isinstance(labels, list) or not all(
-        isinstance(label, list) and len(label) == 2
-        and type(label[0]) is int and type(label[1]) is str
-        for label in labels
+    graph, labels = load("conflict graph", read_json(path), _labeled, "graph", "labels")
+    return Graph.from_json(graph), labels
+
+
+def _labeled(graph, labels):
+    if not all(
+        isinstance(label, list) and len(label) == 2 and is_int(label[0]) and type(label[1]) is str
+        for label in json_list(labels, "labels")
     ):
-        raise InputError(f"{path}: labels must be [clause index, pattern] pairs")
-    return graph, tuple(tuple(label) for label in labels)
+        raise InputError("labels must be [clause index, pattern] pairs")
+    return graph, tuple(map(tuple, labels))
 
 
 # ---------------------------------------------------------------------------

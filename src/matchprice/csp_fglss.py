@@ -32,7 +32,7 @@ import random
 from itertools import product
 
 from . import caps
-from .errors import InputError, Record
+from .errors import InputError, Record, fields, is_int, json_list, load
 from .graphs import BipartiteGraph, Graph, bit_indices
 
 
@@ -49,7 +49,7 @@ class Clause(Record):
         satisfying = tuple(satisfying)
         # entries are checked before set() and frozenset() hash them
         for v in variables:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not is_int(v) or v < 0:
                 raise InputError(f"bad variable {v!r}")
         if len(set(variables)) != len(variables):
             raise InputError(f"clause variables {variables} are not distinct")
@@ -71,7 +71,7 @@ class CspInstance(Record):
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
-        if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 0:
+        if not is_int(num_vars) or num_vars < 0:
             raise InputError(f"num_vars must be a nonnegative integer, got {num_vars!r}")
         clauses = tuple(clauses)
         for c in clauses:
@@ -96,18 +96,13 @@ class CspInstance(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CspInstance":
-        try:
-            clauses = []
-            for c in obj["clauses"]:
-                satisfying = c["satisfying"]
-                if not isinstance(satisfying, list):
-                    raise InputError(f"bad csp json: satisfying {satisfying!r} is not a list")
-                clauses.append(Clause(c["vars"], satisfying))
-            return cls(obj["num_vars"], clauses)
-        except KeyError as exc:
-            raise InputError(f"bad csp json: missing key {exc}") from None
-        except TypeError as exc:
-            raise InputError(f"bad csp json: {exc}") from None
+        return load("csp", obj, lambda n, cs: cls(n, map(_clause, json_list(cs, "clauses"))),
+                    "num_vars", "clauses")
+
+
+def _clause(obj) -> Clause:
+    variables, satisfying = fields(obj, "vars", "satisfying")
+    return Clause(variables, json_list(satisfying, "satisfying"))
 
 
 def max_sat_bruteforce(instance: CspInstance) -> tuple[int, tuple[int, ...]]:

@@ -20,7 +20,7 @@ import math
 import random
 
 from . import caps
-from .errors import InputError
+from .errors import InputError, is_int, load
 from .graphs import (
     BipartiteGraph,
     VertexOrder,
@@ -55,7 +55,7 @@ class DisperserGraph(BipartiteGraph):
 
     def __init__(self, left_count, right_count, edges, target_degree):
         super().__init__(left_count, right_count, edges)
-        if not isinstance(target_degree, int) or isinstance(target_degree, bool):
+        if not is_int(target_degree):
             raise InputError(f"target_degree must be an integer, got {target_degree!r}")
         self.target_degree = target_degree
 
@@ -66,17 +66,9 @@ class DisperserGraph(BipartiteGraph):
 
     @classmethod
     def from_json(cls, obj: dict) -> "DisperserGraph":
-        try:
-            return cls(
-                obj["left"],
-                obj["right"],
-                _json_edges(obj["edges"]),
-                obj["target_degree"],
-            )
-        except KeyError as exc:
-            raise InputError(f"bad disperser json: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad disperser json: {exc}") from None
+        return load("disperser", obj, lambda left, right, edges, d:
+                    cls(left, right, _json_edges(edges), d),
+                    "left", "right", "edges", "target_degree")
 
     def __repr__(self):
         return (

@@ -1,10 +1,10 @@
-"""Exceptions, and Record, the base of all twelve immutable value classes.
+"""Exceptions, load (the one json reader) and Record, the value base.
 
 InputError marks malformed or out-of-contract inputs.  CapExceeded marks a
 refusal: the request is well formed but larger than the configured
 enumeration budget, and the message names the bound that was hit.
 InvariantViolation marks a failed post-condition: a fault in the package,
-not in its input.
+not in its input.  Record is the base of all twelve immutable value classes.
 """
 
 
@@ -30,6 +30,36 @@ class InvariantViolation(RuntimeError):
     A checked raise, not an assert, so it also holds under python -O; the
     message names the function and the invariant.
     """
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: the one test for counts and indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def fields(obj, *keys):
+    """The values of keys in the json object obj, or InputError naming why not."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected an object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"missing key {key!r}")
+    return map(obj.__getitem__, keys)
+
+
+def json_list(value, name: str) -> list:
+    """value, or InputError naming the field when it is not a json list."""
+    if not isinstance(value, list):
+        raise InputError(f"{name} {value!r} is not a list")
+    return value
+
+
+def load(what: str, obj, build, *keys):
+    """build(*fields(obj, *keys)); every refusal on the way reads 'bad <what> json: ...'."""
+    try:
+        return build(*fields(obj, *keys))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} json: {exc}") from None
 
 
 _set = object.__setattr__

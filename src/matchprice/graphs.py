@@ -34,7 +34,7 @@ import random
 from itertools import combinations
 
 from . import caps
-from .errors import InputError, InvariantViolation, Record
+from .errors import InputError, InvariantViolation, Record, is_int, load
 
 ALL_ORDERS = "all"
 
@@ -46,7 +46,7 @@ class Graph:
     __slots__ = ("vertex_count", "_adj")
 
     def __init__(self, vertex_count: int, edges):
-        if not (_is_int(vertex_count) and vertex_count >= 0):
+        if not (is_int(vertex_count) and vertex_count >= 0):
             raise InputError(f"vertex count n must be a nonnegative integer, got {vertex_count!r}")
         self.vertex_count = vertex_count
         adj = [0] * vertex_count
@@ -103,16 +103,7 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        try:
-            return cls(obj["n"], _json_edges(obj["edges"]))
-        except KeyError as exc:
-            raise InputError(f"bad graph json: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad graph json: {exc}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+        return load("graph", obj, lambda n, edges: cls(n, _json_edges(edges)), "n", "edges")
 
 
 def _json_edges(edges) -> list:
@@ -127,7 +118,7 @@ def _edge_ends(edge) -> tuple[int, int]:
     """The two endpoints of an input edge, or InputError naming the edge."""
     if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
         raise InputError(f"edges: {edge!r} is not a pair of vertices")
-    if not (_is_int(edge[0]) and _is_int(edge[1])):
+    if not (is_int(edge[0]) and is_int(edge[1])):
         raise InputError(f"edge {edge} endpoints must be integers")
     return edge
 
@@ -144,7 +135,7 @@ class BipartiteGraph:
     __slots__ = ("left_count", "right_count", "_left_adj", "_right_adj", "_flat_graph")
 
     def __init__(self, left_count: int, right_count: int, edges):
-        if not all(_is_int(c) and c >= 0 for c in (left_count, right_count)):
+        if not all(is_int(c) and c >= 0 for c in (left_count, right_count)):
             raise InputError(
                 "left and right side sizes must be nonnegative integers, "
                 f"got {left_count!r} and {right_count!r}"
@@ -228,12 +219,8 @@ class BipartiteGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BipartiteGraph":
-        try:
-            return cls(obj["left"], obj["right"], _json_edges(obj["edges"]))
-        except KeyError as exc:
-            raise InputError(f"bad bipartite graph json: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad bipartite graph json: {exc}") from None
+        return load("bipartite graph", obj, lambda left, right, edges:
+                    cls(left, right, _json_edges(edges)), "left", "right", "edges")
 
 
 def load_graph_json(obj: dict):

@@ -24,8 +24,8 @@ import math
 from operator import add, itemgetter
 
 from . import caps, ratlp
-from .errors import InputError, Record
-from .rationals import INF, format_price, format_rational, is_infinite, parse_price, parse_rational
+from .errors import InputError, Record, fields, is_int, json_list, load
+from .rationals import INF, format_price, format_rational, is_infinite, parse_rational
 
 UDP = "udp"
 SMP = "smp"
@@ -53,11 +53,11 @@ class Group(Record):
         budget = budget if type(budget) is Fraction else Fraction(budget)
         if not items:
             raise InputError("group bundle must be nonempty")
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in items):
+        if not all(map(is_int, items)):
             raise InputError("bundle entries must be item indices")
         if budget < 0:
             raise InputError(f"budget must be nonnegative, got {budget}")
-        if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
+        if not is_int(multiplicity) or multiplicity < 1:
             raise InputError(f"multiplicity must be a positive integer, got {multiplicity!r}")
         super().__init__(items, budget, multiplicity)
 
@@ -71,8 +71,8 @@ class PricingInstance(Record):
     __slots__ = ("item_count", "groups")
 
     def __init__(self, item_count: int, groups):
-        if not isinstance(item_count, int) or isinstance(item_count, bool) or item_count < 1:
-            raise InputError(f"item_count must be a positive integer, got {item_count}")
+        if not is_int(item_count) or item_count < 1:
+            raise InputError(f"item_count must be a positive integer, got {item_count!r}")
         groups = tuple(groups)
         for g in groups:
             if not isinstance(g, Group):
@@ -113,29 +113,22 @@ def instance_to_json(inst: PricingInstance, rule: str) -> dict:
     }
 
 
-def _decimal(value):
-    """The int of a decimal string, the form instance_to_json writes counts
-    in; any other value as it is, for Group to check."""
-    return int(value) if isinstance(value, str) and value.isascii() and value.isdigit() else value
-
-
 def instance_from_json(obj: dict) -> tuple[PricingInstance, str]:
-    try:
-        items = obj["items"]
-        rule = check_rule(obj["rule"])
-        groups = [
-            Group(
-                g["bundle"],
-                parse_rational(g["budget"]),
-                _decimal(g["multiplicity"]),
-            )
-            for g in obj["groups"]
-        ]
-    except KeyError as exc:
-        raise InputError(f"bad pricing instance json: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad pricing instance json: {exc}") from None
-    return PricingInstance(items, groups), rule
+    return load("pricing instance", obj, _instance, "items", "rule", "groups")
+
+
+def _instance(items, rule, groups) -> tuple[PricingInstance, str]:
+    rule = check_rule(rule)
+    return PricingInstance(items, map(_group, json_list(groups, "groups"))), rule
+
+
+def _group(obj) -> Group:
+    """A json group.  A decimal-string multiplicity, the form instance_to_json
+    writes counts in, is read as its int; any other value goes to Group as it is."""
+    bundle, budget, multiplicity = fields(obj, "bundle", "budget", "multiplicity")
+    if isinstance(multiplicity, str) and multiplicity.isascii() and multiplicity.isdigit():
+        multiplicity = int(multiplicity)
+    return Group(bundle, parse_rational(budget), multiplicity)
 
 
 class PriceFunction(Record):
@@ -169,15 +162,6 @@ class PriceFunction(Record):
 
     def to_json(self) -> dict:
         return {"prices": [format_price(p) for p in self.prices]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PriceFunction":
-        try:
-            return cls([parse_price(p) for p in obj["prices"]])
-        except KeyError as exc:
-            raise InputError(f"bad price function json: missing key {exc}") from None
-        except TypeError as exc:
-            raise InputError(f"bad price function json: {exc}") from None
 
 
 class GroupSale(Record):

@@ -94,12 +94,6 @@ def _oversized(text: str, limit: int) -> InputError:
     return InputError(f"rational {text[:40]!r} needs more than {limit} digits")
 
 
-def parse_price(text: str | int) -> Price:
-    if isinstance(text, str) and text.strip().lower() == "inf":
-        return INF
-    return parse_rational(text)
-
-
 def format_rational(value: Fraction | int) -> str:
     """An int or Fraction as its exact string ("3/4", "5"), refused like an
     oversized input when it has more digits than Python prints."""

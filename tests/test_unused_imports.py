@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, and every
 module-level private name of the package is referenced somewhere in it.
 Only caps.py constructs CapExceeded, every caps.require call names a
-declared cap as a string literal, no assert statement remains, and only
-errors.Record, Graph and BipartiteGraph define __eq__ or __hash__.
+declared cap as a string literal, no assert statement remains, only
+errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, and no
+except clause names KeyError.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -185,3 +186,31 @@ def test_only_the_value_bases_define_equality():
     found = {(p.name, name) for p in SOURCES for name in equality_classes(p.read_text())}
     assert found == {("errors.py", "Record"), ("graphs.py", "Graph"),
                      ("graphs.py", "BipartiteGraph")}
+
+
+def key_error_handlers(source: str) -> list[str]:
+    """except clauses that name KeyError, alone, in a tuple or as an attribute."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "KeyError"
+                for n in ast.walk(node.type))
+    ]
+
+
+def test_key_error_checker_sees_every_spelling():
+    source = (
+        "try:\n    f()\nexcept KeyError:\n    pass\n"
+        "try:\n    f()\nexcept (TypeError, KeyError) as e:\n    pass\n"
+        "try:\n    f()\nexcept builtins.KeyError:\n    pass\n"
+        "try:\n    f()\nexcept (TypeError, ValueError):\n    pass\nexcept:\n    pass\n"
+    )
+    assert key_error_handlers(source) == ["line 3", "line 7", "line 11"]
+
+
+def test_no_module_catches_key_error():
+    """Loaders read keys through errors.fields, which tests membership and
+    names a missing key; catching KeyError would bypass it."""
+    found = {p.name: key_error_handlers(p.read_text()) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
