@@ -210,11 +210,7 @@ def cmd_csp_replace(args):
     replaced = disperser_replace(graph, labels, instance, supplier)
     artifact = {"graph": replaced.to_json(), "labels": [list(label) for label in labels]}
     return 0, artifact, report_for(
-        args,
-        gamma=args.gamma,
-        d=args.d,
-        edges_before=graph.edge_count(),
-        edges_after=replaced.edge_count(),
+        args, d=args.d, edges_before=graph.edge_count(), edges_after=replaced.edge_count()
     )
 
 
@@ -418,7 +414,7 @@ def cmd_pipeline(args):
     }
 
     gap = Fraction(revenue) / max(1, len(matching)) if revenue else Fraction(0)
-    return 0, None, report_for(args, gamma=args.gamma, stages=stages, gap=gap)
+    return 0, None, report_for(args, stages=stages, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,7 @@ COMMANDS = {
         "replace": ("sparsify disagreement edges with dispersers", cmd_csp_replace, [
             ("--input", {"required": True, "help": "the CSP the graph was built from"}),
             ("--graph", {"required": True, "help": "labeled conflict graph json"}),
-            GAMMA, DEGREE, SEED, OUT]),
+            DEGREE, SEED, OUT]),
     }),
     "disperser": ("bipartite dispersers", {
         "gen": ("sample a union of random perfect matchings", cmd_disperser_gen,
@@ -502,8 +498,8 @@ COMMANDS = {
     }),
     "pipeline": ("end-to-end hardness pipeline", {
         "run": ("CSP to pricing, reporting the gap", cmd_pipeline, [
-            _required("--csp"), _required("--t", int), ("--m-out", {"type": int}), GAMMA, DEGREE,
-            RULE, SEED, REPORT_OUT]),
+            _required("--csp"), _required("--t", int), ("--m-out", {"type": int}), DEGREE, RULE,
+            SEED, REPORT_OUT]),
     }),
     "verify": ("invariant suite", {
         "all": ("run every named check", cmd_verify,

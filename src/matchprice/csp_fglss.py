@@ -175,6 +175,8 @@ def random_csp(num_vars: int, num_clauses: int, arity: int, seed: int) -> CspIns
     nonempty satisfying set."""
     if not (1 <= arity <= num_vars):
         raise InputError(f"arity {arity} out of range for {num_vars} variables")
+    if num_clauses < 0:
+        raise InputError(f"clause count must be nonnegative, got {num_clauses}")
     rng = random.Random(seed)
     patterns = ["".join(bits) for bits in product("01", repeat=arity)]
     clauses = []
@@ -201,6 +203,8 @@ def random_balanced_csp(num_vars: int, num_clauses: int, arity: int, seed: int) 
         raise InputError(f"arity {arity} out of range for {num_vars} variables")
     if arity % 2 != 0:
         raise InputError(f"arity must be even for balanced generation, got {arity}")
+    if num_clauses < 0:
+        raise InputError(f"clause count must be nonnegative, got {num_clauses}")
     rng = random.Random(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, reports, determinism."""
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -19,10 +20,21 @@ from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
+def run_main(capsys, *argv):
+    """main in this process, reported as subprocess.run reports a child: a
+    SystemExit from argparse becomes the exit code, and any other exception
+    escapes and fails the test, where a child would print a traceback."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
     captured = capsys.readouterr()
-    return code, captured.out
+    return subprocess.CompletedProcess(list(argv), code, captured.out, captured.err)
+
+
+def run(capsys, *argv):
+    proc = run_main(capsys, *argv)
+    return proc.returncode, proc.stdout
 
 
 def read(path):
@@ -67,10 +79,9 @@ def test_csp_chain_through_replacement(tmp_path, capsys):
          "--seed", "5", "--balanced", "--out", str(csp)],
         ["csp", "fglss", "--input", str(csp), "--out", str(fglss)],
         ["csp", "replace", "--input", str(csp), "--graph", str(fglss),
-         "--gamma", "1/2", "--d", "3", "--seed", "1", "--out", str(replaced)],
+         "--d", "3", "--seed", "1", "--out", str(replaced)],
     ):
-        assert main(argv) == 0
-    capsys.readouterr()
+        assert run(capsys, *argv)[0] == 0
     before = read(fglss)
     after = read(replaced)
     assert after["labels"] == before["labels"]
@@ -177,7 +188,7 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
     code, _ = run(
         capsys,
         "pipeline", "run", "--csp", str(csp), "--t", "2", "--m-out", "3",
-        "--gamma", "1/2", "--d", "3", "--seed", "4", "--out", str(out),
+        "--d", "3", "--seed", "4", "--out", str(out),
     )
     assert code == 0
     report = read(out)
@@ -209,10 +220,26 @@ def test_cap_refusal_exits_three(tmp_path, capsys):
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    capsys.readouterr()
-    assert excinfo.value.code == 2
+    assert run_main(capsys, "frobnicate").returncode == 2
+
+
+def test_run_main_lets_an_unmapped_exception_escape(monkeypatch, capsys):
+    """An exception main does not map to an exit code fails the test, as a
+    traceback on a child's stderr would."""
+    def broken(path):
+        raise KeyError(path)
+
+    monkeypatch.setattr(cli, "read_json", broken)
+    with pytest.raises(KeyError):
+        run_main(capsys, "graph", "cover", "--input", "g.json")
+
+
+def test_run_main_reports_a_usage_error_as_exit_two(capsys):
+    proc = run_main(capsys, "graph", "gen", "--p", "x")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: matchprice graph gen ")
+    assert proc.stderr.endswith("error: argument --p: invalid float value: 'x'\n")
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -238,8 +265,8 @@ ROUTING_CASES = [
      3, "artifact"),
     (["csp", "duplicate", "--input", "{csp}", "--copies", "2"], None, "artifact"),
     (["csp", "fglss", "--input", "{csp}"], None, "artifact"),
-    (["csp", "replace", "--input", "{csp}", "--graph", "{fglss}", "--gamma", "1/2",
-      "--d", "2", "--seed", "3"], 3, "artifact"),
+    (["csp", "replace", "--input", "{csp}", "--graph", "{fglss}", "--d", "2", "--seed", "3"],
+     3, "artifact"),
     (["disperser", "gen", "--n", "4", "--d", "4", "--gamma", "1/2", "--seed", "3"],
      3, "artifact"),
     (["disperser", "verify", "--input", "{complete}", "--gamma", "1/3"], None, None),
@@ -251,8 +278,7 @@ ROUTING_CASES = [
     (["solve", "pricing", "--algo", "oracle", "--input", "{pricing}"], None, "artifact"),
     (["reduce", "matching-to-pricing", "--d", "3", "--seed", "3", "--input", "{bipartite}"],
      3, "artifact"),
-    (["pipeline", "run", "--csp", "{csp}", "--t", "1", "--gamma", "1/2", "--d", "2",
-      "--seed", "3"], 3, "report"),
+    (["pipeline", "run", "--csp", "{csp}", "--t", "1", "--d", "2", "--seed", "3"], 3, "report"),
     (["verify", "all", "--seed", "3"], 3, "report"),
 ]
 
@@ -332,10 +358,9 @@ def test_leaf_help_from_its_own_parser_matches_golden_file(monkeypatch, capsys, 
         return parser
 
     monkeypatch.setattr(cli, "build_parser", recorded)
-    with pytest.raises(SystemExit) as stop:
-        main([group, leaf, "--help"])
-    assert stop.value.code == 0
-    assert capsys.readouterr().out == golden_pages()[f"matchprice {group} {leaf}"]
+    proc = run_main(capsys, group, leaf, "--help")
+    assert proc.returncode == 0
+    assert proc.stdout == golden_pages()[f"matchprice {group} {leaf}"]
     assert built == [["matchprice", f"matchprice {group}", f"matchprice {group} {leaf}"]]
 
 
@@ -350,14 +375,12 @@ def test_usage_errors_match_the_full_tree(monkeypatch, capsys, argv):
     """A missing or bad flag reads the same on stderr, with exit 2, as
     when every parser is built."""
     monkeypatch.setenv("COLUMNS", "80")
-    results = []
-    for parse in (build_parser().parse_args, main):
-        with pytest.raises(SystemExit) as stop:
-            parse(argv)
-        captured = capsys.readouterr()
-        results.append((stop.value.code, captured.out, captured.err))
-    assert results[1] == results[0]
-    assert results[0][0] == 2 and "error:" in results[0][2]
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    full = (stop.value.code, *capsys.readouterr())
+    proc = run_main(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == full
+    assert full[0] == 2 and "error:" in full[2]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -396,6 +419,30 @@ def run_cli(*argv, module="matchprice.cli", preexec_fn=None, timeout=120, **envi
         [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+def unjustified_children(source: str) -> list[str]:
+    """run_cli calls that pass no preexec_fn, module or environment
+    variable: their exit codes read as well from run_main, in process."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli"
+        and not {keyword.arg for keyword in node.keywords} - {"timeout", None}
+    ]
+
+
+def test_child_checker_sees_calls_without_a_reason():
+    source = (
+        'run_cli("verify", "all")\nrun_cli("csp", timeout=5)\nrun_cli("csp", preexec_fn=f)\n'
+        'run_cli("--version", module="matchprice")\nrun_cli("verify", MATCHPRICE_X="1")\n'
+        'run_main(capsys, "verify")\n'
+    )
+    assert unjustified_children(source) == ["line 1", "line 2"]
+
+
+def test_children_start_only_where_the_process_is_under_test():
+    assert unjustified_children(Path(__file__).read_text(encoding="utf-8")) == []
 
 
 def limit_memory():
@@ -492,8 +539,23 @@ MALFORMED_TEXTS = {
     "graph_deep_value": '{"n": 2, "edges": [[0, 1]], "unused": %s%s}' % ("[" * 5000, "]" * 5000),
 }
 
-REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--gamma", "1/2", "--d", "1", "--graph"]
-PIPELINE = ["pipeline", "run", "--t", "1", "--gamma", "1/3", "--d", "2", "--csp"]
+
+@pytest.fixture(scope="module")
+def malformed_paths(tmp_path_factory):
+    """{name: path} of every malformed file, written once for all rows that
+    read them, and of missing_dir, a directory never made."""
+    root = tmp_path_factory.mktemp("malformed")
+    paths = {"missing_dir": str(root / "missing")}
+    texts = {name: json.dumps(obj) for name, obj in MALFORMED_FILES.items()}
+    for name, text in {**texts, **MALFORMED_TEXTS}.items():
+        path = root / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+REPLACE = ["csp", "replace", "--input", "{csp_xor}", "--d", "1", "--graph"]
+PIPELINE = ["pipeline", "run", "--t", "1", "--d", "2", "--csp"]
 ORACLE = ["solve", "pricing", "--algo", "oracle", "--input"]
 NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
 
@@ -582,6 +644,8 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
         (ORACLE + ["{pricing_string_items}"],
          "bad pricing instance json: item_count must be a positive integer, got '2'"),
         (REPLACE + ["{conflict_list}"], "bad conflict graph json: expected an object, got list"),
+        (["csp", "gen", "--num-vars", "3", "--num-clauses", "-1", "--arity", "2"],
+         "clause count must be nonnegative, got -1"),
     ],
     ids=["graph-edge", "bipartite-edge", "disperser-edge", "csp-satisfying", "p-above-one",
          "p-below-zero", "gen-out-unwritable", "verify-out-unwritable", "label-triple",
@@ -597,16 +661,11 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "bipartite-edges-int", "deep-list", "graph-deep-value", "pricing-int-bundle",
          "csp-int-vars", "csp-int-pattern", "csp-int", "csp-list", "csp-int-clauses",
          "csp-int-clause", "pricing-int", "pricing-list", "pricing-int-groups",
-         "pricing-int-group", "pricing-string-items", "conflict-graph-list"],
+         "pricing-int-group", "pricing-string-items", "conflict-graph-list",
+         "csp-gen-negative-clauses"],
 )
-def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
-    paths = {"missing_dir": str(tmp_path / "missing")}
-    texts = {name: json.dumps(obj) for name, obj in MALFORMED_FILES.items()}
-    for name, text in {**texts, **MALFORMED_TEXTS}.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(text)
-        paths[name] = str(path)
-    proc = run_cli(*(arg.format(**paths) for arg in argv))
+def test_malformed_input_exits_two_without_traceback(malformed_paths, capsys, argv, message):
+    proc = run_main(capsys, *(arg.format(**malformed_paths) for arg in argv))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
@@ -615,13 +674,13 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-def test_lemma_without_samples_exits_two_without_traceback(tmp_path, samples):
+def test_lemma_without_samples_exits_two_without_traceback(tmp_path, capsys, samples):
     disp = tmp_path / "disp.json"
     disp.write_text(json.dumps(
         {"left": 10, "right": 10, "edges": [[u, w] for u in range(10) for w in range(10)]}
     ))
-    proc = run_cli("disperser", "check-lemma", "--input", str(disp), "--gamma", "1/4",
-                   "--samples", samples)
+    proc = run_main(capsys, "disperser", "check-lemma", "--input", str(disp), "--gamma", "1/4",
+                    "--samples", samples)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: samples must be at least 1")
@@ -646,7 +705,7 @@ def test_non_integer_cap_override_exits_two_without_traceback():
     ],
     ids=["budget-1e999999", "alpha-1e-5000", "budget-5001-digit-int"],
 )
-def test_oversized_rational_exits_two_without_traceback(tmp_path, argv):
+def test_oversized_rational_exits_two_without_traceback(tmp_path, capsys, argv):
     """A value whose numerator or denominator has more digits than Python
     prints is refused where it is parsed, not when its report is written."""
     paths = {"smp_example": resources.files("matchprice") / "data" / "two_consumer_smp.json"}
@@ -655,7 +714,7 @@ def test_oversized_rational_exits_two_without_traceback(tmp_path, argv):
         paths[name].write_text(
             '{"items": 1, "rule": "smp", "groups": [{"budget": %s, "bundle": [0], "multiplicity": 1}]}' % budget
         )
-    proc = run_cli(*(arg.format(**paths) for arg in argv))
+    proc = run_main(capsys, *(arg.format(**paths) for arg in argv))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "needs more than" in proc.stderr or "Exceeds the limit" in proc.stderr
@@ -664,13 +723,14 @@ def test_oversized_rational_exits_two_without_traceback(tmp_path, argv):
 
 @pytest.mark.parametrize("extra", [[], ["--out", "-", "--provenance", "-"]],
                          ids=["report", "artifact-and-provenance"])
-def test_unprintable_rational_result_exits_two_without_traceback(tmp_path, extra):
+def test_unprintable_rational_result_exits_two_without_traceback(tmp_path, capsys, extra):
     """Budgets d^-3i and multiplicities d^3i of the reduction at d = 10000
     have more digits than Python prints: the command is refused before it
     writes anything."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"left": 2, "right": 2, "edges": [[0, 0], [1, 1]]}))
-    proc = run_cli("reduce", "matching-to-pricing", "--d", "10000", "--input", str(path), *extra)
+    proc = run_main(capsys, "reduce", "matching-to-pricing", "--d", "10000", "--input", str(path),
+                    *extra)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     limit = sys.get_int_max_str_digits()
@@ -678,10 +738,10 @@ def test_unprintable_rational_result_exits_two_without_traceback(tmp_path, extra
     assert proc.stdout == ""
 
 
-def test_undecodable_input_exits_two_without_traceback(tmp_path):
+def test_undecodable_input_exits_two_without_traceback(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{")
-    proc = run_cli("solve", "pricing", "--algo", "uniform", "--input", str(path))
+    proc = run_main(capsys, "solve", "pricing", "--algo", "uniform", "--input", str(path))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "is not valid json" in proc.stderr
@@ -721,10 +781,10 @@ def test_invariant_failure_exits_four(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graphs, "is_induced_matching", lambda g, m: False)
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
-    assert main(["solve", "matching", "--algo", "exact", "--input", str(path)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: invariant failed: max_induced_matching_bruteforce:")
+    proc = run_main(capsys, "solve", "matching", "--algo", "exact", "--input", str(path))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: invariant failed: max_induced_matching_bruteforce:")
 
 
 def test_fglss_allocates_only_for_variables_in_some_label(tmp_path):

@@ -219,6 +219,13 @@ def test_balanced_generator_and_preservation():
         random_balanced_csp(6, 5, 3, seed=1)
 
 
+@pytest.mark.parametrize("maker", [random_csp, random_balanced_csp])
+def test_generators_refuse_a_negative_clause_count(maker):
+    assert len(maker(4, 0, 2, seed=1).clauses) == 0
+    with pytest.raises(InputError, match="clause count must be nonnegative, got -1"):
+        maker(4, -1, 2, seed=1)
+
+
 def test_duplicate_clauses_and_exact_scaling():
     inst = random_csp(4, 2, 2, seed=5)
     tripled = duplicate_clauses(inst, 3)
