@@ -474,49 +474,25 @@ def max_induced_matching_bruteforce(g) -> tuple[int, Matching]:
     return size, m
 
 
-def _order_exists_bipartite(g, chosen_pairs):
-    """A left sequence making chosen_pairs (left, right) of the flattened
-    bipartite graph g semi-induced (the Kahn order of the precedence arcs,
-    lefts in no arc left out), or None."""
-    arcs = set()
-    for (u, v), (a, b) in combinations(chosen_pairs, 2):
-        if g.has_edge(u, b):
-            # u may not precede a, so a must come first
-            arcs.add((a, u))
-        if g.has_edge(a, v):
-            arcs.add((u, a))
-    return _topo_order(arcs)
-
-
-def _order_exists_general(g, chosen_pairs):
-    """Try every anchoring of the matching edges in canonical order; return
-    the Kahn order of the first acyclic one, or None."""
-    k = len(chosen_pairs)
-    for code in range(1 << k):
-        anchored = []
-        for idx, (x, y) in enumerate(chosen_pairs):
-            lo, hi = (min(x, y), max(x, y))
-            if (code >> idx) & 1:
-                lo, hi = hi, lo
-            anchored.append((lo, hi))
-        arcs = set(anchored)
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                m_i, o_i = anchored[i]
-                m_j, o_j = anchored[j]
-                hit_ij = g.has_edge(m_i, m_j) or g.has_edge(m_i, o_j)
-                hit_ji = g.has_edge(m_j, m_i) or g.has_edge(m_j, o_i)
-                if hit_ij and hit_ji:
-                    ok = False
-                    break
-                if hit_ij:
-                    arcs.add((m_j, m_i))
-                if hit_ji:
-                    arcs.add((m_i, m_j))
-            if not ok:
+def _order_for(g, pairs, bipartite):
+    """The Kahn order of the first anchoring of pairs (u, w), u < w, in
+    canonical order whose precedence arcs are acyclic, or None.  Bit i of
+    the code anchors pair i at w.  A bipartite g is flattened, lefts first,
+    and its order ranks only lefts: it takes the one anchoring at the left
+    ends (code 0), with no anchor-to-partner arcs."""
+    for code in range(1 if bipartite else 1 << len(pairs)):
+        anchored = [(w, u) if code >> i & 1 else (u, w) for i, (u, w) in enumerate(pairs)]
+        arcs = set() if bipartite else set(anchored)
+        for (m_i, o_i), (m_j, o_j) in combinations(anchored, 2):
+            hit_ij = g.has_edge(m_i, m_j) or g.has_edge(m_i, o_j)
+            hit_ji = g.has_edge(m_j, m_i) or g.has_edge(m_j, o_i)
+            if hit_ij and hit_ji:
                 break
-        if ok:
+            if hit_ij:
+                arcs.add((m_j, m_i))
+            if hit_ji:
+                arcs.add((m_i, m_j))
+        else:
             seq = _topo_order(arcs)
             if seq is not None:
                 return seq
@@ -574,7 +550,6 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     caps.require("MAX_ALL_ORDER_VERTICES", flat.vertex_count,
                  "all-orders mode limited to {limit} vertices, got {used}")
     bip = isinstance(g, BipartiteGraph)
-    order_for = _order_exists_bipartite if bip else _order_exists_general
     best_pairs: list[tuple[int, int]] = []
 
     # Straightforward recursive enumeration in lexicographic edge order.
@@ -590,7 +565,7 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
             if used & ends:
                 continue
             pairs.append((u, w))
-            if order_for(flat, pairs) is not None:
+            if _order_for(flat, pairs, bip) is not None:
                 enumerate_from(i + 1, pairs, used | ends)
             pairs.pop()
 
@@ -598,7 +573,7 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
 
     unflat = dict(zip(flat_edges, edge_list))
     m = Matching(unflat[p] for p in best_pairs)
-    seq = order_for(flat, best_pairs)
+    seq = _order_for(flat, best_pairs, bip)
     placed = set(seq)
     # the order of a bipartite graph ranks its lefts only
     seq.extend(v for v in range(g.left_count if bip else g.vertex_count) if v not in placed)

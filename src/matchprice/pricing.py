@@ -21,7 +21,7 @@ first maximizer in product order as scoring every vector.
 
 from fractions import Fraction
 import math
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import caps, ratlp
 from .errors import InputError, Record, fields, is_int, json_list, load
@@ -384,13 +384,15 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
 
     Every budget is scaled once by the lcm of the budget denominators, so
     each LP has an int objective, 0/1 int rows and int bounds; scaling every
-    bound by one factor scales the vertex without changing a pivot.  One
-    ratlp.maximize_subsets call solves the LPs of all 2^k - 1 winner sets
-    over the k group rows: LPs whose pivots follow one path share each
-    dictionary on it, and the vertex it ends on is read once.  A vertex
-    stays in ints, reduced by the gcd of its numerators and denominator so
-    equal vertices are equal tuples.  Only the distinct coordinates of the
-    distinct vertices become Fractions, divided back by the scale.
+    bound by one factor scales the vertex without changing a pivot.  Every
+    winner set's objective is built once, each group doubling the table of
+    the sets before it, and one ratlp.maximize_subsets call solves the LPs
+    of all 2^k - 1 nonempty winner sets over the k group rows: LPs whose
+    pivots follow one path share each dictionary on it, and the vertex it
+    ends on is read once.  A vertex stays in ints, reduced by the gcd of its
+    numerators and denominator so equal vertices are equal tuples.  Only
+    the distinct coordinates of the distinct vertices become Fractions,
+    divided back by the scale.
     """
     groups = inst.groups
     caps.require("MAX_SMP_GROUPS", len(groups), "SMP oracle limited to {limit} groups, got {used}")
@@ -400,26 +402,13 @@ def opt_smp_bruteforce(inst: PricingInstance) -> tuple[Fraction, PriceFunction]:
     scale = math.lcm(*(g.budget.denominator for g in groups))
     group_rows = [[int(i in g.bundle) for i in range(n)] for g in groups]
     group_budgets = [g.budget.numerator * (scale // g.budget.denominator) for g in groups]
-
-    # Each W splits into its low and its high half of the groups, so two
-    # tables of 2^(k/2) objectives give every W's without keeping one per mask.
-    def objectives(part):
-        """The objective of each subset of part, indexed by its mask over part."""
-        table = [[0] * n]
-        for j in part:
-            row, multiplicity = group_rows[j], groups[j].multiplicity
-            table += [[a + multiplicity * b for a, b in zip(objective, row)] for objective in table]
-        return table
-
-    half = len(groups) // 2
-    low, high = objectives(range(half)), objectives(range(half, len(groups)))
-    low_mask = (1 << half) - 1
-
-    def objective(mask):
-        return list(map(add, low[mask & low_mask], high[mask >> half]))
+    # The objective of each winner set W, indexed by its mask.
+    table = [[0] * n]
+    for row, g in zip(group_rows, groups):
+        table += [[a + g.multiplicity * b for a, b in zip(objective, row)] for objective in table]
 
     vertices = {(0,) * n + (1,)}  # (numerators, denominator), gcd-reduced
-    for x, d, _ in ratlp.maximize_subsets(n, group_rows, group_budgets, range(1, 1 << len(groups)), objective):
+    for x, d, _ in ratlp.maximize_subsets(n, group_rows, group_budgets, enumerate(table[1:], 1)):
         common = math.gcd(d, *x)
         if common > 1:
             x = [v // common for v in x]

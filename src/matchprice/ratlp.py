@@ -30,7 +30,7 @@ every basic column; a slack's c is 0.  So the reduced cost of the
 nonbasic variable v in column s, times d, is d c_v minus a c_u over the
 rows of the basic original variables u, a their entry in column s: the
 int the Bareiss update of a cost row would hold.  It is computed from the
-objective at each dictionary, as far as Bland's rule reads it.
+program's objective at each dictionary, as far as Bland's rule reads it.
 
 Every pivot is the one Bland's rule takes on the unscaled program.
 Scaling a row by a positive factor leaves its ratios b_i / a_is unchanged.
@@ -61,14 +61,14 @@ takes next (entering column, leaving row), and each part continues from
 one dictionary built after that pivot.  The leaving row is the first of the
 program's own rows in one order per dictionary and column (least ratio,
 then least basis index), and the vertex at the end of a path is read
-once for every program that ends there.  Only masks are kept: a
-program's reduced costs come from objective(mask) at each dictionary, and
-its value numerator is objective . x.
+once for every program that ends there.  A program is a (mask, objective)
+pair, carried whole from dictionary to dictionary: its reduced costs are
+read from its own objective list, and its value numerator is objective . x.
 
-maximize_int is the one-program case.  maximize checks and scales its
-input, calls it, and builds Fractions only for the vertex and its value.
-The SMP oracle calls maximize_subsets once per instance, since its rows
-are already 0/1 and its bounds ints.
+maximize checks and scales its input, solves it as one program over every
+row, and builds Fractions only for the vertex and its value.  The SMP
+oracle calls maximize_subsets once per instance, since its rows are
+already 0/1 and its bounds ints.
 """
 
 from fractions import Fraction
@@ -117,57 +117,42 @@ def maximize(objective, rows, bounds) -> tuple[Fraction, list[Fraction]]:
         scaled_rows.append(scaled[:n])
         scaled_bounds.append(scaled[n])
     objective_scale, cost = _scaled(_checked(objective))
-    value, x, d = maximize_int(cost, scaled_rows, scaled_bounds)
-    return Fraction(value, d * objective_scale), [Fraction(v, d) for v in x]
+    [(x, d, _)] = maximize_subsets(n, scaled_rows, scaled_bounds, [((1 << m) - 1, cost)])
+    return Fraction(sum(map(mul, cost, x)), d * objective_scale), [Fraction(v, d) for v in x]
 
 
-def maximize_int(objective, rows, bounds) -> tuple[int, list[int], int]:
-    """maximize on int entries, with no checks and no scaling.
+def maximize_subsets(n, rows, bounds, programs):
+    """Many programs over subsets of one row set, solved together.
 
-    The caller guarantees ints only, len(bounds) == len(rows), every row of
-    len(objective) entries and every bound nonnegative.  Returns
-    (value numerator, vertex numerators, d): the optimal value and vertex
-    are those ints over d, the last pivot (d > 0, and not reduced).
-    The dictionary is built from copies, so the caller's lists are never
-    written.  Raises InputError on an unbounded program.  This is
-    maximize_subsets with one program, over every row.
-    """
-    [(x, d, _)] = maximize_subsets(len(objective), rows, bounds, [(1 << len(rows)) - 1], lambda mask: objective)
-    return sum(map(mul, objective, x)), x, d
-
-
-def maximize_subsets(n, rows, bounds, masks, objective):
-    """maximize_int on many programs over subsets of one row set, together.
-
-    rows and bounds are as for maximize_int, each row of n entries.  For
-    each mask in masks, the program maximizes objective(mask) . x, a list
-    of n ints, subject to the rows whose bits are set in mask.
-    objective(mask) is called at each dictionary the program reaches, so
-    it must return equal lists each time.  Yields (x, d, done) once for
-    each dictionary some programs end on, with done their masks: for each,
-    x and d are those maximize_int returns on its rows alone, in ascending
-    order.  No input list is written.  Raises InputError if some program
-    is unbounded.
+    rows are lists of n ints and bounds nonnegative ints, one per row; the
+    caller guarantees both, unchecked.  Each program is a (mask, objective)
+    pair: it maximizes objective . x, for objective a list of n ints,
+    subject to the rows whose bits are set in mask, x >= 0.  Yields
+    (x, d, done) once for each dictionary some programs end on, with done
+    their masks: for each, the optimal vertex of its rows alone is x over
+    d, the last pivot (d > 0, and not reduced), with every pivot the full
+    tableau takes on those rows in ascending order.  No input list is
+    written.  Raises InputError if some program is unbounded.
     """
     # Row i: the coefficients of the nonbasic variables nonbasic[0..n-1]
     # in the equation of basis[i], then its right-hand side.
     tableau = [[*row, b] for row, b in zip(rows, bounds)]
     # Each entry: a dictionary, the pivot (column s, row r) some programs
-    # take from it next, or None at the root, and their masks.
-    stack = [(tableau, list(range(n, n + len(tableau))), list(range(n)), 1, None, None, masks)]
+    # take from it next, or None at the root, and those programs.
+    stack = [(tableau, list(range(n, n + len(tableau))), list(range(n)), 1, None, None, programs)]
     while stack:
-        tableau, basis, nonbasic, d, s, r, masks = stack.pop()
+        tableau, basis, nonbasic, d, s, r, programs = stack.pop()
         if s is not None:
             # The parent dictionary goes with the last entry that holds it.
             tableau, basis, nonbasic, d = _pivoted(tableau, basis, nonbasic, d, s, r)
         done = []
         parts = {}
-        for mask, s, r in _steps(tableau, basis, nonbasic, d, masks, objective):
+        for program, s, r in _steps(tableau, basis, nonbasic, d, programs):
             if s is None:
-                done.append(mask)
+                done.append(program[0])
             else:
-                parts.setdefault((s, r), []).append(mask)
-        del masks
+                parts.setdefault((s, r), []).append(program)
+        del programs
         stack += [(tableau, basis, nonbasic, d, s, r, part) for (s, r), part in parts.items()]
         del parts
         if done:
@@ -179,8 +164,8 @@ def maximize_subsets(n, rows, bounds, masks, objective):
             del done
 
 
-def _steps(tableau, basis, nonbasic, d, masks, objective):
-    """(mask, s, r) for each program: the column and row of the pivot
+def _steps(tableau, basis, nonbasic, d, programs):
+    """(program, s, r) for each program: the column and row of the pivot
     Bland's rule takes next on its own rows, or s None at its optimum."""
     n = len(nonbasic)
     # Least variable index first: an exchange permutes the columns.  Each
@@ -190,8 +175,8 @@ def _steps(tableau, basis, nonbasic, d, masks, objective):
     columns = [(s, v, [(u, row[s]) for u, row in basic if row[s]])
                for s, v in sorted(enumerate(nonbasic), key=itemgetter(1))]
     orders = {}
-    for mask in masks:
-        c = objective(mask)
+    for program in programs:
+        mask, c = program
         # Least variable index with a positive reduced cost (Bland).
         for s, v, entries in columns:
             reduced = d * c[v] if v < n else 0
@@ -200,7 +185,7 @@ def _steps(tableau, basis, nonbasic, d, masks, objective):
             if reduced > 0:
                 break
         else:
-            yield mask, None, None
+            yield program, None, None
             continue
         order = orders.get(s)
         if order is None:
@@ -211,7 +196,7 @@ def _steps(tableau, basis, nonbasic, d, masks, objective):
                 break
         else:
             raise InputError("linear program is unbounded")
-        yield mask, s, r
+        yield program, s, r
 
 
 def _leaving_order(tableau, basis, s):

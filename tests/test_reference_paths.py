@@ -1150,10 +1150,18 @@ def test_integer_simplex_matches_fraction_simplex():
     assert any(kind.startswith("constraint row") for kind in kinds)
 
 
+def one_program(objective, rows, bounds):
+    """(value numerator, vertex numerators, d) of one maximize_subsets
+    program over every row: the value and vertex are those ints over d."""
+    [(x, d, done)] = ratlp.maximize_subsets(len(objective), rows, bounds, [((1 << len(rows)) - 1, objective)])
+    assert done == [(1 << len(rows)) - 1]
+    return sum(map(mul, objective, x)), x, d
+
+
 def int_outcome(objective, rows, bounds):
-    """maximize_int's answer as maximize's Fractions, or its refusal."""
+    """one_program's answer as maximize's Fractions, or its refusal."""
     try:
-        value, x, d = ratlp.maximize_int(objective, rows, bounds)
+        value, x, d = one_program(objective, rows, bounds)
     except InputError as e:
         return "refused", str(e)
     assert d > 0 and all(type(v) is int for v in (value, *x, d))
@@ -1185,7 +1193,7 @@ def zero_one_lp(rng):
 
 
 def int_random_lps(rng, count):
-    """count of random_lp's programs that meet maximize_int's contract:
+    """count of random_lp's programs that meet maximize_subsets's contract:
     int entries, nonnegative bounds and full rows."""
     programs = []
     while len(programs) < count:
@@ -1278,8 +1286,8 @@ def int_lp(rng):
 
 
 def kernel_outcome(kernel, objective, rows, bounds):
-    """kernel's (value, x, d), or its refusal; the program must come back
-    unwritten."""
+    """kernel's (value, x, d), or its refusal; the objective, the rows and
+    the bounds must come back unwritten."""
     before = copy.deepcopy((objective, rows, bounds))
     try:
         outcome = kernel(objective, rows, bounds)
@@ -1290,9 +1298,10 @@ def kernel_outcome(kernel, objective, rows, bounds):
 
 
 def test_dictionary_kernel_takes_the_full_tableau_pivots(monkeypatch):
-    """maximize_int returns the full integer tableau's (value, x, d) on every
-    SMP oracle program of three 6-item, 10-group instances, on 0/1 programs
-    and on int programs with negative entries, ties and unbounded columns.
+    """One maximize_subsets program over every row gets the full integer
+    tableau's (value, x, d) on every SMP oracle program of three 6-item,
+    10-group instances, on 0/1 programs and on int programs with negative
+    entries, ties and unbounded columns.
     The last pivot d agrees too, so the pivot path is pinned, not only the
     vertex."""
     rng = random.Random(4160)
@@ -1305,7 +1314,7 @@ def test_dictionary_kernel_takes_the_full_tableau_pivots(monkeypatch):
     pivoted = 0
     for lp in programs:
         expected = kernel_outcome(ref_maximize_int, *lp)
-        assert kernel_outcome(ratlp.maximize_int, *lp) == expected, lp
+        assert kernel_outcome(one_program, *lp) == expected, lp
         kind = expected[1] if expected[0] == "refused" else "solved"
         kinds[kind] = kinds.get(kind, 0) + 1
         pivoted += kind == "solved" and expected[2] > 1
@@ -1375,8 +1384,8 @@ def subset_outcomes(inst):
     rows, bounds, _ = oracle_rows(inst)
     before = copy.deepcopy((rows, bounds))
     outcomes = {}
-    for x, d, done in ratlp.maximize_subsets(inst.item_count, rows, bounds, range(1, 1 << len(rows)),
-                                             lambda mask: winner_objective(inst, mask)):
+    programs = [(mask, winner_objective(inst, mask)) for mask in range(1, 1 << len(rows))]
+    for x, d, done in ratlp.maximize_subsets(inst.item_count, rows, bounds, programs):
         assert d > 0 and all(type(v) is int for v in (*x, d))
         for mask in done:
             assert mask not in outcomes
@@ -1390,29 +1399,26 @@ def recorded_oracle_call(inst, monkeypatch):
     """(programs, outcomes) of the one maximize_subsets call opt_smp_bruteforce
     makes on inst: each winner subset's program as the oracle poses it, in
     mask order, and {mask: (x, d)} as the engine hands it back.  The rows,
-    budgets and every objective(mask) it passes must be ints, equal to
-    oracle_rows and winner_objective, and come back unwritten."""
+    budgets and every (mask, objective) program it passes must be ints,
+    equal to oracle_rows and winner_objective, each mask once, and come
+    back unwritten."""
     calls = []
     maximize_subsets = ratlp.maximize_subsets
 
-    def recording_maximize_subsets(n, rows, bounds, masks, objective):
+    def recording_maximize_subsets(n, rows, bounds, programs):
+        programs = list(programs)
         assert all(type(v) is int for v in (*bounds, *(a for row in rows for a in row)))
-        call = {"n": n, "rows": copy.deepcopy(rows), "bounds": list(bounds), "masks": list(masks),
-                "objectives": {}, "outcomes": {}}
+        assert all(type(v) is int for _, objective in programs for v in objective)
+        call = {"n": n, "rows": copy.deepcopy(rows), "bounds": list(bounds),
+                "programs": copy.deepcopy(programs), "outcomes": {}}
         calls.append(call)
-
-        def recording_objective(mask):
-            cost = objective(mask)
-            assert all(type(v) is int for v in cost)
-            assert call["objectives"].setdefault(mask, list(cost)) == cost
-            return cost
-
-        for x, d, done in maximize_subsets(n, rows, bounds, call["masks"], recording_objective):
+        for x, d, done in maximize_subsets(n, rows, bounds, programs):
             for mask in done:
                 assert mask not in call["outcomes"]
                 call["outcomes"][mask] = list(x), d
             yield x, d, done
-        assert (rows, bounds) == (call["rows"], call["bounds"]), "the engine wrote into its input"
+        assert (rows, bounds, programs) == (call["rows"], call["bounds"], call["programs"]), \
+            "the engine wrote into its input"
 
     monkeypatch.setattr(ratlp, "maximize_subsets", recording_maximize_subsets)
     opt_smp_bruteforce(inst)
@@ -1420,14 +1426,15 @@ def recorded_oracle_call(inst, monkeypatch):
     [call] = calls
     masks = list(range(1, 1 << len(inst.groups)))
     rows, bounds, _ = oracle_rows(inst)
-    assert (call["n"], call["rows"], call["bounds"], call["masks"]) == (inst.item_count, rows, bounds, masks)
-    assert sorted(call["objectives"]) == masks
-    assert all(call["objectives"][mask] == winner_objective(inst, mask) for mask in masks)
+    assert (call["n"], call["rows"], call["bounds"]) == (inst.item_count, rows, bounds)
+    assert [mask for mask, _ in call["programs"]] == masks
+    objectives = dict(call["programs"])
+    assert all(objectives[mask] == winner_objective(inst, mask) for mask in masks)
     assert sorted(call["outcomes"]) == masks
     programs = []
     for mask in masks:
         winners = [j for j in range(len(rows)) if mask >> j & 1]
-        programs.append((call["objectives"][mask], [call["rows"][j] for j in winners],
+        programs.append((objectives[mask], [call["rows"][j] for j in winners],
                          [call["bounds"][j] for j in winners]))
     return programs, call["outcomes"]
 
@@ -1490,7 +1497,8 @@ def test_subset_engine_on_int_rows():
     """On int_lp's rows, with negative entries and pivots other than the
     previous d, and an objective of its own for each subset, every subset
     gets the full integer tableau's (value, x, d); when some subset is
-    unbounded, the call refuses as maximize_int does."""
+    unbounded, the call refuses as that program alone does.  The objective
+    lists come back unwritten."""
     rng = random.Random(4260)
     kinds = {}
     pivoted = 0
@@ -1509,15 +1517,18 @@ def test_subset_engine_on_int_rows():
             lp = objectives[mask], [rows[i] for i in winners], [bounds[i] for i in winners]
             expected[mask] = kernel_outcome(ref_maximize_int, *lp)
         refusals = [outcome for outcome in expected.values() if outcome[0] == "refused"]
+        before = copy.deepcopy(objectives)
         try:
             got = {}
-            for x, d, done in ratlp.maximize_subsets(n, rows, bounds, masks, objectives.__getitem__):
+            for x, d, done in ratlp.maximize_subsets(n, rows, bounds, list(objectives.items())):
                 for mask in done:
                     got[mask] = sum(map(mul, objectives[mask], x)), x, d
         except InputError as e:
+            assert objectives == before, "the engine wrote into its input"
             assert refusals and str(e) == refusals[0][1]
             kinds["refused"] = kinds.get("refused", 0) + 1
             continue
+        assert objectives == before, "the engine wrote into its input"
         assert not refusals and got == expected, (objectives, rows, bounds)
         kinds["solved"] = kinds.get("solved", 0) + 1
         pivoted += sum(d > 1 for _, _, d in got.values())

@@ -2,8 +2,9 @@
 module-level private name of the package is referenced somewhere in it.
 Only caps.py constructs CapExceeded, every caps.require call names a
 declared cap as a string literal, no assert statement remains, only
-errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, and no
-except clause names KeyError.
+errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, no
+except clause names KeyError, and the public functions of ratlp are
+exactly maximize and maximize_subsets.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -214,3 +215,20 @@ def test_no_module_catches_key_error():
     names a missing key; catching KeyError would bypass it."""
     found = {p.name: key_error_handlers(p.read_text()) for p in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def public_functions(source: str) -> list[str]:
+    """Module-level functions whose names do not start with an underscore."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+
+
+def test_public_function_checker_skips_private_and_nested_names():
+    source = "def a():\n    def b():\n        pass\ndef _c():\n    pass\nclass D:\n    def e(self):\n        pass\n"
+    assert public_functions(source) == ["a"]
+
+
+def test_ratlp_is_one_engine():
+    """maximize_subsets is the engine; maximize checks and scales one program
+    for it.  No other entry point, such as a one-program int kernel."""
+    assert public_functions((PACKAGE / "ratlp.py").read_text()) == ["maximize", "maximize_subsets"]
