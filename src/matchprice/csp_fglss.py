@@ -55,7 +55,7 @@ class Clause(Record):
             raise InputError(f"clause variables {variables} are not distinct")
         a = len(variables)
         for pat in satisfying:
-            if not isinstance(pat, str) or len(pat) != a or any(ch not in "01" for ch in pat):
+            if not isinstance(pat, str) or len(pat) != a or pat.strip("01"):
                 raise InputError(f"satisfying pattern {pat!r} does not fit arity {a}")
         super().__init__(variables, frozenset(satisfying))
 

@@ -57,6 +57,8 @@ class DisperserGraph(BipartiteGraph):
         super().__init__(left_count, right_count, edges)
         if not is_int(target_degree):
             raise InputError(f"target_degree must be an integer, got {target_degree!r}")
+        if target_degree < 1:
+            raise InputError(f"target_degree must be at least 1, got {target_degree}")
         self.target_degree = target_degree
 
     def to_json(self) -> dict:
@@ -89,11 +91,14 @@ def random_disperser(n: int, d: int, seed: int) -> DisperserGraph:
         raise InputError(f"degree must satisfy 1 <= d <= n, got d={d}, n={n}")
     rng = random.Random(seed)
     adj = [0] * n
+    right = [0] * n
     for _ in range(d):
         partner = list(range(n))
         rng.shuffle(partner)
-        adj = [mask | 1 << w for mask, w in zip(adj, partner)]
-    disp = DisperserGraph._from_masks(n, n, adj)
+        for u, w in enumerate(partner):
+            adj[u] |= 1 << w
+            right[w] |= 1 << u
+    disp = DisperserGraph._from_masks(n, n, adj, right)
     disp.target_degree = d
     return disp
 

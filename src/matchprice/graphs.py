@@ -37,6 +37,7 @@ from . import caps
 from .errors import InputError, InvariantViolation, Record, is_int, load
 
 ALL_ORDERS = "all"
+_PAIR = (tuple, list)  # the edge types a constructor accepts, subclasses too
 
 
 class Graph:
@@ -51,7 +52,12 @@ class Graph:
         self.vertex_count = vertex_count
         adj = [0] * vertex_count
         for edge in edges:
-            u, w = _edge_ends(edge)
+            # class identity first: the isinstance tests run only for other types
+            if not ((edge.__class__ in _PAIR or isinstance(edge, _PAIR)) and len(edge) == 2):
+                raise InputError(f"edges: {edge!r} is not a pair of vertices")
+            u, w = edge
+            if not ((u.__class__ is int or is_int(u)) and (w.__class__ is int or is_int(w))):
+                raise InputError(f"edge {edge} endpoints must be integers")
             if not (0 <= u < vertex_count and 0 <= w < vertex_count):
                 raise InputError(f"edge {edge} out of range for n={vertex_count}")
             if u == w:
@@ -108,19 +114,10 @@ class Graph:
 
 def _json_edges(edges) -> list:
     """A json edge list with its [u, w] lists as tuples, or InputError
-    naming the field; the constructor checks each entry with _edge_ends."""
-    if not isinstance(edges, (list, tuple)):
+    naming the field; the constructor checks each entry."""
+    if not isinstance(edges, _PAIR):
         raise InputError("edges must be a list of [u, w] pairs")
     return [tuple(e) if isinstance(e, list) else e for e in edges]
-
-
-def _edge_ends(edge) -> tuple[int, int]:
-    """The two endpoints of an input edge, or InputError naming the edge."""
-    if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
-        raise InputError(f"edges: {edge!r} is not a pair of vertices")
-    if not (is_int(edge[0]) and is_int(edge[1])):
-        raise InputError(f"edge {edge} endpoints must be integers")
-    return edge
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -141,30 +138,33 @@ class BipartiteGraph:
                 f"got {left_count!r} and {right_count!r}"
             )
         left_adj = [0] * left_count
+        right_adj = [0] * right_count
         for edge in edges:
-            u, w = _edge_ends(edge)
+            # the same checks and messages as Graph's, then both sides' masks at once
+            if not ((edge.__class__ in _PAIR or isinstance(edge, _PAIR)) and len(edge) == 2):
+                raise InputError(f"edges: {edge!r} is not a pair of vertices")
+            u, w = edge
+            if not ((u.__class__ is int or is_int(u)) and (w.__class__ is int or is_int(w))):
+                raise InputError(f"edge {edge} endpoints must be integers")
             if not (0 <= u < left_count and 0 <= w < right_count):
                 raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
             left_adj[u] |= 1 << w
-        self._set_masks(left_count, right_count, left_adj)
+            right_adj[w] |= 1 << u
+        self._set_masks(left_count, right_count, left_adj, right_adj)
 
     @classmethod
     def _from_masks(
-        cls, left_count: int, right_count: int, left_adj, right_adj=None
+        cls, left_count: int, right_count: int, left_adj, right_adj
     ) -> "BipartiteGraph":
-        """The graph with left masks left_adj, unchecked: each mask lies below
-        1 << right_count, derived from a validated graph or sampled in range.
-        right_adj, when the caller has it, must be the transpose of left_adj."""
+        """The graph with left masks left_adj and right masks right_adj,
+        unchecked: each left mask lies below 1 << right_count, derived from a
+        validated graph or sampled in range, and right_adj is its transpose.
+        Callers build both sides together; nothing transposes after the fact."""
         g = cls.__new__(cls)
         g._set_masks(left_count, right_count, left_adj, right_adj)
         return g
 
-    def _set_masks(self, left_count: int, right_count: int, left_adj, right_adj=None) -> None:
-        if right_adj is None:
-            right_adj = [0] * right_count
-            for u, mask in enumerate(left_adj):
-                for w in bit_indices(mask):
-                    right_adj[w] |= 1 << u
+    def _set_masks(self, left_count: int, right_count: int, left_adj, right_adj) -> None:
         self.left_count = left_count
         self.right_count = right_count
         self._left_adj = tuple(left_adj)

@@ -90,7 +90,8 @@ def congestion_filter(g: BipartiteGraph, coloring: Coloring, d: int):
             high.append(v)
     kept = ~sum(1 << v for v in high)
     left_adj = [g.left_mask(u) & kept for u in range(g.left_count)]
-    return tuple(high), BipartiteGraph._from_masks(g.left_count, g.right_count, left_adj)
+    right_adj = [g.right_mask(v) if kept >> v & 1 else 0 for v in range(g.right_count)]
+    return tuple(high), BipartiteGraph._from_masks(g.left_count, g.right_count, left_adj, right_adj)
 
 
 class ReductionOutput(Record):

@@ -510,6 +510,10 @@ MALFORMED_FILES = {
     "disperser_float_degree": {
         "left": 2, "right": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]], "target_degree": 2.9,
     },
+    "disperser_negative_degree": {
+        "left": 3, "right": 3, "edges": [[u, w] for u in range(3) for w in range(3)],
+        "target_degree": -3,
+    },
     "graph_int": 5,
     "graph_null": None,
     "graph_true": True,
@@ -604,6 +608,8 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "multiplicity must be a positive integer, got '+2'"),
         (["disperser", "check-lemma", "--gamma", "1/2", "--input", "{disperser_float_degree}"],
          "target_degree must be an integer, got 2.9"),
+        (["disperser", "check-lemma", "--gamma", "1/3", "--input", "{disperser_negative_degree}"],
+         "bad disperser json: target_degree must be at least 1, got -3"),
         (["graph", "cover", "--input", "{graph_int}"], NOT_A_GRAPH),
         (["solve", "matching", "--algo", "exact", "--input", "{graph_null}"], NOT_A_GRAPH),
         (["disperser", "verify", "--gamma", "1/2", "--input", "{graph_true}"], NOT_A_GRAPH),
@@ -654,7 +660,8 @@ NOT_A_GRAPH = "json object is neither a graph nor a bipartite graph"
          "disperser-bool-endpoint", "csp-bool-variable", "csp-bool-num-vars",
          "pricing-bool-items", "csp-float-num-vars", "csp-whole-float-num-vars",
          "csp-no-clauses", "pricing-float-multiplicity", "pricing-bool-multiplicity",
-         "pricing-signed-multiplicity", "disperser-float-degree", "graph-int-cover",
+         "pricing-signed-multiplicity", "disperser-float-degree", "disperser-negative-degree",
+         "graph-int-cover",
          "graph-null-solve", "graph-true-verify", "graph-string-lemma", "graph-int-reduce",
          "bipartite-float-side", "graph-string-size", "graph-missing-edges",
          "graph-edge-triple-named", "graph-float-endpoint", "graph-edge-int",

@@ -134,6 +134,19 @@ def test_clause_validation():
     assert c.sorted_patterns() == ["01", "10"]
 
 
+@pytest.mark.parametrize("pattern", ["2", "0 1", "", "\uff101", "01\n", "0110"])
+def test_clause_accepts_exactly_the_binary_patterns(pattern):
+    """A pattern of the clause's own arity is accepted iff every character
+    is 0 or 1 (a full-width digit, a space or a newline is not)."""
+    binary = all(ch in "01" for ch in pattern)
+    variables = range(len(pattern))
+    if binary:
+        assert Clause(variables, [pattern]).satisfying == {pattern}
+    else:
+        with pytest.raises(InputError, match="does not fit arity"):
+            Clause(variables, [pattern])
+
+
 def test_instance_validation_and_json():
     c = Clause((0, 2), frozenset({"11"}))
     inst = CspInstance(3, [c])

@@ -157,6 +157,9 @@ def test_disperser_json_round_trip():
     for degree in (2.9, True, "3"):
         with pytest.raises(InputError, match="target_degree must be an integer"):
             DisperserGraph(2, 2, [(0, 0)], degree)
+    for degree in (0, -3):
+        with pytest.raises(InputError, match=f"target_degree must be at least 1, got {degree}"):
+            DisperserGraph(2, 2, [(0, 0)], degree)
 
 
 # ---------------------------------------------------------------------------

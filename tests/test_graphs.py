@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchprice import caps, graphs, matching_solvers
+from matchprice.disperser import DisperserGraph, random_disperser
 from matchprice.errors import CapExceeded, InputError
 from matchprice.graphs import (
     ALL_ORDERS,
@@ -534,12 +535,23 @@ def edge_lists(draw):
     return n, pairs, left, right, bip_pairs, colours, draw(st.integers(1, 4))
 
 
+def transpose(bg):
+    """The right masks of bg, read edge by edge off its left masks."""
+    right = [0] * bg.right_count
+    for u in range(bg.left_count):
+        for w in range(bg.right_count):
+            if bg.has_edge(u, w):
+                right[w] |= 1 << u
+    return tuple(right)
+
+
 def assert_same_graph(got, want):
-    """Equal, equal hashes, and (for bipartite graphs) equal right masks."""
+    """Equal, equal hashes, and (for bipartite graphs) right masks that are
+    the transpose of the left masks on both sides."""
     assert got == want
     assert hash(got) == hash(want)
     if isinstance(want, BipartiteGraph):
-        assert got._right_adj == want._right_adj
+        assert got._right_adj == transpose(got) == want._right_adj == transpose(want)
 
 
 @settings(max_examples=80, deadline=2000)
@@ -605,6 +617,23 @@ def test_masks_match_the_validated_edge_list(case):
             [(i, w) for i, u in enumerate(lefts) for x, w in work_edges if x == u],
         )
         assert call.args[0] == [want.left_mask(i) for i in range(want.left_count)]
+
+
+def test_graphs_are_built_in_one_pass():
+    """Each constructor sets both sides' masks as it reads or samples the
+    edges, so none reads a finished mask back bit by bit: graphs.bit_indices,
+    which a transpose after the fact would call, is never called."""
+    disp_json = random_disperser(9, 3, seed=4).to_json()
+    # right 0 has 10 = T(16) + 1 neighbours of colour 1, so the filter drops it
+    edges = [(u, 0) for u in range(10)] + [(u, 1) for u in range(0, 10, 3)] + [(2, 2)]
+    with mock.patch.object(graphs, "bit_indices", wraps=graphs.bit_indices) as reads:
+        bg = BipartiteGraph(10, 4, edges)
+        high, pruned = congestion_filter(bg, Coloring([1] * 10, 16), 16)
+        built = [bg, pruned, DisperserGraph.from_json(disp_json), random_disperser(9, 3, seed=4)]
+    assert reads.call_count == 0
+    assert high == (0,) and pruned.edge_count() == 5
+    for g in built:
+        assert g._right_adj == transpose(g)
 
 
 def test_witness_check_survives_python_O():

@@ -16,23 +16,29 @@ rights) and the two value recurrences that followed it (all orders on the
 free rights, one order on position and free rights), the left-subset loops
 of verify_disperser and the balanced-independence oracle, the unpruned
 combinations scan both of them came to share, the Fraction tableau simplex behind the SMP oracle,
-the full integer tableau the dictionary simplex replaced, and the full
+the full integer tableau the dictionary simplex replaced, the full
 product scan that geometric enumeration and the UDP oracle ran
-before their branch-and-bound search.
+before their branch-and-bound search, and the graph constructors that
+checked each edge with a helper call and then transposed the left masks.
 The engines must return the same values and the same witnesses on every
 seeded input, and refuse the same inputs.
 """
 
 import copy
 import heapq
+import json
 import math
 import random
 import sys
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchprice import caps, pricing, ratlp
 from matchprice.csp_fglss import (
@@ -46,14 +52,15 @@ from matchprice.csp_fglss import (
     random_balanced_csp,
     random_csp,
 )
-from matchprice.disperser import random_disperser, verify_disperser
-from matchprice.errors import CapExceeded, InputError
+from matchprice.disperser import DisperserGraph, random_disperser, verify_disperser
+from matchprice.errors import CapExceeded, InputError, is_int, load
 from matchprice.graphs import (
     ALL_ORDERS,
     BipartiteGraph,
     Graph,
     Matching,
     VertexOrder,
+    _json_edges,
     _mis_lex_witness,
     _sparse_left_set,
     balanced_bipartite_independence_bruteforce,
@@ -2263,3 +2270,126 @@ def test_left_subset_search_runs_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 10
     hit = _sparse_left_set(BipartiteGraph(n, n, []), n - 1)
     assert hit == (tuple(range(n - 1)), (1 << n) - 1)
+
+
+# ---------------------------------------------------------------------------
+# graph loaders: one checking call per edge, then the right masks transposed
+# bit by bit from the left ones
+
+
+def ref_edge_ends(edge):
+    if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+        raise InputError(f"edges: {edge!r} is not a pair of vertices")
+    if not (is_int(edge[0]) and is_int(edge[1])):
+        raise InputError(f"edge {edge} endpoints must be integers")
+    return edge
+
+
+def ref_graph(vertex_count, edges):
+    """Graph's neighbour masks."""
+    if not (is_int(vertex_count) and vertex_count >= 0):
+        raise InputError(f"vertex count n must be a nonnegative integer, got {vertex_count!r}")
+    adj = [0] * vertex_count
+    for edge in edges:
+        u, w = ref_edge_ends(edge)
+        if not (0 <= u < vertex_count and 0 <= w < vertex_count):
+            raise InputError(f"edge {edge} out of range for n={vertex_count}")
+        if u == w:
+            raise InputError(f"loop at vertex {u}")
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    return tuple(adj)
+
+
+def ref_bipartite(left_count, right_count, edges):
+    """BipartiteGraph's (left masks, right masks)."""
+    if not all(is_int(c) and c >= 0 for c in (left_count, right_count)):
+        raise InputError(
+            "left and right side sizes must be nonnegative integers, "
+            f"got {left_count!r} and {right_count!r}"
+        )
+    left_adj = [0] * left_count
+    for edge in edges:
+        u, w = ref_edge_ends(edge)
+        if not (0 <= u < left_count and 0 <= w < right_count):
+            raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
+        left_adj[u] |= 1 << w
+    right_adj = [0] * right_count
+    for u, mask in enumerate(left_adj):
+        for w in bit_indices(mask):
+            right_adj[w] |= 1 << u
+    return tuple(left_adj), tuple(right_adj)
+
+
+def ref_disperser(left_count, right_count, edges, target_degree):
+    """DisperserGraph's (left masks, right masks, target degree)."""
+    masks = ref_bipartite(left_count, right_count, edges)
+    if not is_int(target_degree):
+        raise InputError(f"target_degree must be an integer, got {target_degree!r}")
+    return (*masks, target_degree)
+
+
+def loaded(build, *args):
+    """What build(*args) makes, as masks, or the message it refuses with."""
+    try:
+        g = build(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    if isinstance(g, Graph):
+        return g._adj
+    if isinstance(g, DisperserGraph):
+        return g._left_adj, g._right_adj, g.target_degree
+    if isinstance(g, BipartiteGraph):
+        return g._left_adj, g._right_adj
+    return g  # a reference's masks
+
+
+Vertex = IntEnum("Vertex", [(f"V{i}", i) for i in range(8)])
+NamedEdge = namedtuple("NamedEdge", "u w")
+BAD_ENDS = [True, False, 1.0, 0.5, "1", None, -1, -4, 7, 10**20]
+PAIR_SHAPES = [tuple, list, NamedEdge._make, lambda p: (Vertex(p[0]), p[1]),
+               lambda p: [p[0], Vertex(p[1])]]
+faulty_edges = st.one_of(
+    st.tuples(st.sampled_from(BAD_ENDS), st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.sampled_from(BAD_ENDS)).map(list),
+    st.integers(0, 3).map(lambda v: (v, v)),  # a loop: only Graph refuses it
+    st.sampled_from([(0, 1, 1), [0], [], {"u": 0, "w": 1}, {0: 1, 1: 0}, 5, "01", None]),
+)
+
+
+@st.composite
+def loader_inputs(draw):
+    """Side sizes, a target degree, and an edge list of valid pairs in mixed
+    shapes with up to two faulty entries put in anywhere."""
+    left, right = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(left - 1, 0)),
+                                    st.integers(0, max(right - 1, 0))), max_size=12))
+    edges = [draw(st.sampled_from(PAIR_SHAPES))(p) for p in pairs if left and right]
+    for bad in draw(st.lists(faulty_edges, max_size=2)):
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    degree = draw(st.sampled_from([1, 3, 2.9, True, "2"]))
+    return left, right, edges, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader_inputs())
+def test_loaders_match_checking_call_and_transpose_reference(case):
+    left, right, edges, degree = case
+    n = max(left, right)
+    assert loaded(Graph, n, edges) == loaded(ref_graph, n, edges)
+    assert loaded(BipartiteGraph, left, right, edges) == loaded(ref_bipartite, left, right, edges)
+    assert (loaded(DisperserGraph, left, right, edges, degree)
+            == loaded(ref_disperser, left, right, edges, degree))
+    # the same entries as a json file holds them
+    edge_json = json.loads(json.dumps(edges))
+    graph_obj = {"n": n, "edges": edge_json}
+    bip_obj = {"left": left, "right": right, "edges": edge_json}
+    disp_obj = {**bip_obj, "target_degree": degree}
+    assert loaded(Graph.from_json, graph_obj) == loaded(
+        load, "graph", graph_obj, lambda n, e: ref_graph(n, _json_edges(e)), "n", "edges")
+    assert loaded(BipartiteGraph.from_json, bip_obj) == loaded(
+        load, "bipartite graph", bip_obj, lambda a, b, e: ref_bipartite(a, b, _json_edges(e)),
+        "left", "right", "edges")
+    assert loaded(DisperserGraph.from_json, disp_obj) == loaded(
+        load, "disperser", disp_obj, lambda a, b, e, d: ref_disperser(a, b, _json_edges(e), d),
+        "left", "right", "edges", "target_degree")
