@@ -1,17 +1,21 @@
-"""Named invariant checks and the deterministic report driver.
+"""The paper's claims as checks: claims, draws, and one seeded driver.
 
-Each check runs a small randomized experiment from a seed derived from the
-global seed and either passes or returns a JSON-able counterexample.  The
-driver collects records sorted by check name, so the report is byte-stable
-for a fixed seed regardless of execution order.  A check that trips a
-solver's post-condition (InvariantViolation) fails with the message as its
-counterexample, and the other checks still run.
+A claim maps one input to a JSON-able counterexample, or to None when it
+holds.  A draw makes one input from a random.Random (the two disperser
+claims have a frozen input and ignore it).  Each row of CLAIMS names a
+claim, a draw and a count; one driver makes it CHECKS[name], a function of
+a seed that tests count drawn inputs and stops at the first counterexample.
+run_all sorts its records by check name, so the report is byte-stable for a
+fixed seed.  A check that trips a solver's post-condition
+(InvariantViolation) fails with the message as its counterexample, and the
+other checks still run.
 """
 
 import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 from . import __version__, caps
 from .csp_fglss import (
@@ -69,7 +73,8 @@ def derive_seed(seed: int, stage: str) -> int:
     return (seed ^ int.from_bytes(digest[:8], "big")) & _MASK
 
 
-def _bounded_bipartite(rng, max_side=6, max_degree=None):
+def _bipartite(rng, max_side=6, max_degree=None):
+    """Sides in [1, max_side], some edge, and degrees at most max_degree if given."""
     while True:
         left = rng.randrange(1, max_side + 1)
         right = rng.randrange(1, max_side + 1)
@@ -81,7 +86,7 @@ def _bounded_bipartite(rng, max_side=6, max_degree=None):
         return g
 
 
-def _random_instance(rng, max_items=4, max_groups=4):
+def _pricing(rng, max_items=4, max_groups=4):
     items = rng.randrange(1, max_items + 1)
     groups = []
     for _ in range(rng.randrange(1, max_groups + 1)):
@@ -92,37 +97,38 @@ def _random_instance(rng, max_items=4, max_groups=4):
     return PricingInstance(items, groups)
 
 
+def _csp(rng):
+    return random_csp(4, 3, 2, seed=rng.randrange(10**6))
+
+
+def _reduction(rng, max_side=5):
+    """(g, the reduction of g with d = 4 under a random left coloring)."""
+    g = _bipartite(rng, max_side, max_degree=4)
+    return g, build_pricing_instance(g, color_left(g, 4, seed=rng.randrange(10**6)), 4)
+
+
 # ---------------------------------------------------------------------------
-# checks: each returns None on pass or a counterexample dict on failure
+# claims: each returns None when it holds or a counterexample dict
 
 
-def check_csp_fglss_independence(seed: int):
-    rng = random.Random(seed)
-    for _ in range(5):
-        instance = random_csp(4, 3, 2, seed=rng.randrange(10**6))
-        value, _ = max_sat_bruteforce(instance)
-        graph, _labels = fglss_build(instance)
-        alpha, _ = max_independent_set_bruteforce(graph)
-        if alpha != value:
-            return {"csp": instance.to_json(), "independence": alpha, "maxsat": value}
+def fglss_independence_equals_maxsat(instance):
+    value, _ = max_sat_bruteforce(instance)
+    graph, _labels = fglss_build(instance)
+    alpha, _ = max_independent_set_bruteforce(graph)
+    if alpha != value:
+        return {"csp": instance.to_json(), "independence": alpha, "maxsat": value}
     return None
 
 
-def check_csp_duplicate_scaling(seed: int):
-    rng = random.Random(seed)
-    for _ in range(5):
-        instance = random_csp(4, 3, 2, seed=rng.randrange(10**6))
-        value, _ = max_sat_bruteforce(instance)
-        tripled = duplicate_clauses(instance, 3)
-        value3, _ = max_sat_bruteforce(tripled)
-        if value3 != 3 * value:
-            return {"csp": instance.to_json(), "value": value, "tripled_value": value3}
+def duplicate_scales_optimum(instance):
+    value, _ = max_sat_bruteforce(instance)
+    value3, _ = max_sat_bruteforce(duplicate_clauses(instance, 3))
+    if value3 != 3 * value:
+        return {"csp": instance.to_json(), "value": value, "tripled_value": value3}
     return None
 
 
-def check_disperser_negative_witness(seed: int):
-    del seed  # fully deterministic
-    pm = BipartiteGraph(6, 6, [(v, v) for v in range(6)])
+def perfect_matching_rejected(pm):
     ok, violation = verify_disperser(pm, Fraction(1, 3))
     expected = ((0, 1), (2, 3))
     if ok or violation != expected:
@@ -130,171 +136,141 @@ def check_disperser_negative_witness(seed: int):
     return None
 
 
-def check_disperser_lemma_certificate(seed: int):
-    del seed  # frozen known-good construction
-    g = random_disperser(6, 6, seed=0)
+def lemma_certificate(g):
     report = check_disperser_lemma(g, Fraction(1, 3))
     if not report["ok"]:
         return {key: str(value) for key, value in report.items()}
     return None
 
 
-def check_graph_balanced_independence_bound(seed: int):
-    rng = random.Random(seed)
-    for _ in range(10):
-        g = _bounded_bipartite(rng)
-        im, _ = max_induced_matching_bruteforce(g)
-        bbis = balanced_bipartite_independence_bruteforce(g)
-        if bbis < im // 2:
-            return {"graph": g.to_json(), "bbis": bbis, "induced_matching": im}
+def balanced_independence_vs_matching(g):
+    im, _ = max_induced_matching_bruteforce(g)
+    bbis = balanced_bipartite_independence_bruteforce(g)
+    if bbis < im // 2:
+        return {"graph": g.to_json(), "bbis": bbis, "induced_matching": im}
     return None
 
 
-def check_graph_order_relaxation(seed: int):
-    rng = random.Random(seed)
-    for _ in range(6):
-        g = _bounded_bipartite(rng, max_side=4)
-        im, _ = max_induced_matching_bruteforce(g)
-        sim, _, _ = max_semi_induced_matching_bruteforce(g, ALL_ORDERS)
-        if sim < im:
-            return {"graph": g.to_json(), "semi_induced": sim, "induced": im}
+def order_relaxation(g):
+    im, _ = max_induced_matching_bruteforce(g)
+    sim, _, _ = max_semi_induced_matching_bruteforce(g, ALL_ORDERS)
+    if sim < im:
+        return {"graph": g.to_json(), "semi_induced": sim, "induced": im}
     return None
 
 
-def check_solver_exact_equals_oracle(seed: int):
-    rng = random.Random(seed)
-    for _ in range(8):
-        g = _bounded_bipartite(rng)
-        fast, witness = exact_bipartite_induced_matching(g)
-        slow, _ = max_induced_matching_bruteforce(g)
-        if fast != slow or len(witness) != fast:
-            return {"graph": g.to_json(), "solver": fast, "oracle": slow}
+def exact_equals_oracle(g):
+    fast, witness = exact_bipartite_induced_matching(g)
+    slow, _ = max_induced_matching_bruteforce(g)
+    if fast != slow or len(witness) != fast:
+        return {"graph": g.to_json(), "solver": fast, "oracle": slow}
     return None
 
 
-def check_solver_approx_ratio(seed: int):
-    rng = random.Random(seed)
-    for _ in range(6):
-        g = _bounded_bipartite(rng)
-        im, _ = max_induced_matching_bruteforce(g)
-        for r in (2, 3):
-            got, witness = approx_induced_matching_bipartite(g, r)
-            if got < math.ceil(im / r) or len(witness) != got:
-                return {"graph": g.to_json(), "r": r, "approx": got, "optimum": im}
+def approx_ratio_guarantee(g):
+    im, _ = max_induced_matching_bruteforce(g)
+    for r in (2, 3):
+        got, witness = approx_induced_matching_bipartite(g, r)
+        if got < math.ceil(im / r) or len(witness) != got:
+            return {"graph": g.to_json(), "r": r, "approx": got, "optimum": im}
     return None
 
 
-def check_pricing_oracle_dominates(seed: int):
-    rng = random.Random(seed)
-    for _ in range(6):
-        inst = _random_instance(rng)
-        for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
-            opt, _ = oracle(inst)
-            for label, result in (
-                ("uniform", uniform_price_approx(inst, rule)),
-                ("geometric", geometric_enum_approx(inst, rule, 2)),
-                ("scheme", approximation_scheme(inst, rule, Fraction(1, 2), 2)),
-            ):
-                value, _prices = result
-                if value > opt:
-                    return {
-                        "instance": instance_to_json(inst, rule),
-                        "algorithm": label,
-                        "value": format_rational(value),
-                        "optimum": format_rational(opt),
-                    }
+def oracle_dominates_heuristics(inst):
+    for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
+        opt, _ = oracle(inst)
+        for label, result in (
+            ("uniform", uniform_price_approx(inst, rule)),
+            ("geometric", geometric_enum_approx(inst, rule, 2)),
+            ("scheme", approximation_scheme(inst, rule, Fraction(1, 2), 2)),
+        ):
+            value, _prices = result
+            if value > opt:
+                return {"instance": instance_to_json(inst, rule), "algorithm": label,
+                        "value": format_rational(value), "optimum": format_rational(opt)}
     return None
 
 
-def check_pricing_geometric_quarter(seed: int):
-    rng = random.Random(seed)
-    for _ in range(6):
-        inst = _random_instance(rng)
-        for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
-            opt, _ = oracle(inst)
-            value, _ = geometric_enum_approx(inst, rule, 2)
-            if 4 * value < opt:
-                return {
-                    "instance": instance_to_json(inst, rule),
-                    "geometric": format_rational(value),
-                    "optimum": format_rational(opt),
-                }
+def geometric_quarter_bound(inst):
+    for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
+        opt, _ = oracle(inst)
+        value, _ = geometric_enum_approx(inst, rule, 2)
+        if 4 * value < opt:
+            return {"instance": instance_to_json(inst, rule),
+                    "geometric": format_rational(value), "optimum": format_rational(opt)}
     return None
 
 
-def check_reduction_completeness(seed: int):
-    rng = random.Random(seed)
-    for _ in range(8):
-        g = _bounded_bipartite(rng, max_side=5, max_degree=4)
-        coloring = color_left(g, 4, seed=rng.randrange(10**6))
-        out = build_pricing_instance(g, coloring, 4)
-        size, matching = max_induced_matching_bruteforce(g)
-        for rule in (UDP, SMP):
-            prices = matching_to_prices(out, matching, rule)
-            revenue = evaluate_revenue(out.instance, rule, prices).revenue
-            if revenue < size:
-                return {
-                    "graph": g.to_json(),
-                    "rule": rule,
-                    "revenue": format_rational(revenue),
-                    "matching_size": size,
-                }
+def completeness_revenue(reduced):
+    g, out = reduced
+    size, matching = max_induced_matching_bruteforce(g)
+    for rule in (UDP, SMP):
+        prices = matching_to_prices(out, matching, rule)
+        revenue = evaluate_revenue(out.instance, rule, prices).revenue
+        if revenue < size:
+            return {"graph": g.to_json(), "rule": rule,
+                    "revenue": format_rational(revenue), "matching_size": size}
     return None
 
 
-def check_reduction_extraction_validity(seed: int):
-    rng = random.Random(seed)
+def extraction_validity(reduced):
+    g, out = reduced
     threshold = congestion_threshold(4)
-    for _ in range(6):
-        g = _bounded_bipartite(rng, max_side=5, max_degree=4)
-        coloring = color_left(g, 4, seed=rng.randrange(10**6))
-        out = build_pricing_instance(g, coloring, 4)
-        for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
-            _, prices = oracle(out.instance)
-            # extract_with_stats asserts semi-inducedness internally
-            _, _, stats = extract_with_stats(out, prices, rule)
-            if stats["max_removed_by_one"] > threshold - 1:
-                return {
-                    "graph": g.to_json(),
-                    "rule": rule,
-                    "max_removed_by_one": stats["max_removed_by_one"],
-                    "threshold": threshold,
-                }
+    for rule, oracle in ((UDP, opt_udp_bruteforce), (SMP, opt_smp_bruteforce)):
+        _, prices = oracle(out.instance)
+        # extract_with_stats asserts semi-inducedness internally
+        _, _, stats = extract_with_stats(out, prices, rule)
+        if stats["max_removed_by_one"] > threshold - 1:
+            return {"graph": g.to_json(), "rule": rule,
+                    "max_removed_by_one": stats["max_removed_by_one"], "threshold": threshold}
     return None
 
 
-def check_reduction_budget_products(seed: int):
-    rng = random.Random(seed)
-    for _ in range(8):
-        g = _bounded_bipartite(rng, max_side=6, max_degree=4)
-        coloring = color_left(g, 4, seed=rng.randrange(10**6))
-        out = build_pricing_instance(g, coloring, 4)
-        for index, group in enumerate(out.instance.groups):
-            if group.budget * group.multiplicity != 1:
-                return {
-                    "graph": g.to_json(),
-                    "group": index,
+def budget_multiplicity_product(reduced):
+    g, out = reduced
+    for index, group in enumerate(out.instance.groups):
+        if group.budget * group.multiplicity != 1:
+            return {"graph": g.to_json(), "group": index,
                     "budget": format_rational(group.budget),
-                    "multiplicity": str(group.multiplicity),
-                }
+                    "multiplicity": str(group.multiplicity)}
     return None
 
 
-CHECKS = {
-    "csp.duplicate_scales_optimum": check_csp_duplicate_scaling,
-    "csp.fglss_independence_equals_maxsat": check_csp_fglss_independence,
-    "disperser.lemma_certificate": check_disperser_lemma_certificate,
-    "disperser.perfect_matching_rejected": check_disperser_negative_witness,
-    "graphs.balanced_independence_vs_matching": check_graph_balanced_independence_bound,
-    "graphs.order_relaxation": check_graph_order_relaxation,
-    "pricing.geometric_quarter_bound": check_pricing_geometric_quarter,
-    "pricing.oracle_dominates_heuristics": check_pricing_oracle_dominates,
-    "reduction.budget_multiplicity_product": check_reduction_budget_products,
-    "reduction.completeness_revenue": check_reduction_completeness,
-    "reduction.extraction_validity": check_reduction_extraction_validity,
-    "solvers.approx_ratio_guarantee": check_solver_approx_ratio,
-    "solvers.exact_equals_oracle": check_solver_exact_equals_oracle,
+# name -> (claim, draw, count of inputs drawn per seed)
+CLAIMS = {
+    "csp.duplicate_scales_optimum": (duplicate_scales_optimum, _csp, 5),
+    "csp.fglss_independence_equals_maxsat": (fglss_independence_equals_maxsat, _csp, 5),
+    "disperser.lemma_certificate": (
+        lemma_certificate, lambda rng: random_disperser(6, 6, seed=0), 1),
+    "disperser.perfect_matching_rejected": (
+        perfect_matching_rejected, lambda rng: BipartiteGraph(6, 6, [(v, v) for v in range(6)]), 1),
+    "graphs.balanced_independence_vs_matching": (balanced_independence_vs_matching, _bipartite, 10),
+    "graphs.order_relaxation": (order_relaxation, partial(_bipartite, max_side=4), 6),
+    "pricing.geometric_quarter_bound": (geometric_quarter_bound, _pricing, 6),
+    "pricing.oracle_dominates_heuristics": (oracle_dominates_heuristics, _pricing, 6),
+    "reduction.budget_multiplicity_product": (
+        budget_multiplicity_product, partial(_reduction, max_side=6), 8),
+    "reduction.completeness_revenue": (completeness_revenue, _reduction, 8),
+    "reduction.extraction_validity": (extraction_validity, _reduction, 6),
+    "solvers.approx_ratio_guarantee": (approx_ratio_guarantee, _bipartite, 6),
+    "solvers.exact_equals_oracle": (exact_equals_oracle, _bipartite, 8),
 }
+
+
+def _seeded(name: str):
+    """CHECKS[name]: the row of CLAIMS, read when called, run from one seed."""
+    def check(seed: int):
+        claim, draw, count = CLAIMS[name]
+        rng = random.Random(seed)
+        for _ in range(count):
+            counterexample = claim(draw(rng))
+            if counterexample is not None:
+                return counterexample
+        return None
+    return check
+
+
+CHECKS = {name: _seeded(name) for name in CLAIMS}
 
 
 def run_all(scale: str = DESK, seed: int = 0) -> dict:

@@ -19,6 +19,8 @@ from matchprice.cli import COMMANDS, build_parser, dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
 
+from test_verify import fail_on_third_input
+
 
 def run_main(capsys, *argv):
     """main in this process, reported as subprocess.run reports a child: a
@@ -208,6 +210,21 @@ def test_verify_all_deterministic_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     report = json.loads(first.read_text())
     assert report["ok"] is True and report["seed"] == 7
+
+
+
+def test_verify_all_exits_one_on_a_counterexample(monkeypatch, capsys):
+    """A claim that fails on its third input fails its check: exit 1, and
+    the report carries that record and its counterexample."""
+    name = "graphs.order_relaxation"
+    drawn = fail_on_third_input(monkeypatch, name)
+    proc = run_main(capsys, "verify", "all", "--seed", "0")
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["ok"] is False
+    failed = [record for record in report["checks"] if record["status"] == "fail"]
+    assert failed == [{"check": name, "status": "fail", "counterexample": {"input": 3}}]
+    assert len(drawn) == 3
 
 
 def test_cap_refusal_exits_three(tmp_path, capsys):

@@ -3,8 +3,9 @@ module-level private name of the package is referenced somewhere in it.
 Only caps.py constructs CapExceeded, every caps.require call names a
 declared cap as a string literal, no assert statement remains, only
 errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, no
-except clause names KeyError, and the public functions of ratlp are
-exactly maximize and maximize_subsets.
+except clause names KeyError, the public functions of ratlp are exactly
+maximize and maximize_subsets, and verify builds random.Random in one
+place, its driver.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from matchprice import caps
+from matchprice import caps, verify
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchprice"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -232,3 +233,25 @@ def test_ratlp_is_one_engine():
     """maximize_subsets is the engine; maximize checks and scales one program
     for it.  No other entry point, such as a one-program int kernel."""
     assert public_functions((PACKAGE / "ratlp.py").read_text()) == ["maximize", "maximize_subsets"]
+
+
+def random_constructions(source: str) -> list[str]:
+    """Lines that call random.Random or a bare Random."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Random"
+    ]
+
+
+def test_random_checker_sees_both_spellings():
+    source = "rng = random.Random(seed)\nr = Random(1)\nrandom.random()\nRandom\n"
+    assert random_constructions(source) == ["line 1", "line 2"]
+
+
+def test_verify_has_one_driver():
+    """Every check runs through the one seeded driver: a second loop over a
+    generator of its own would need a second random.Random."""
+    assert len(random_constructions((PACKAGE / "verify.py").read_text())) == 1
+    assert verify.CLAIMS.keys() == verify.CHECKS.keys()
