@@ -63,59 +63,8 @@ from .reduction import (
 )
 from .verify import run_all
 
-__all__ = [
-    "ALL_ORDERS",
-    "BipartiteGraph",
-    "CapExceeded",
-    "Clause",
-    "CspInstance",
-    "DisperserGraph",
-    "Graph",
-    "Group",
-    "INF",
-    "InputError",
-    "InvariantViolation",
-    "Matching",
-    "PriceFunction",
-    "PricingInstance",
-    "ReductionOutput",
-    "SMP",
-    "UDP",
-    "VertexOrder",
-    "__version__",
-    "approx_induced_matching_bipartite",
-    "approx_induced_matching_general",
-    "approximation_scheme",
-    "balanced_bipartite_independence_bruteforce",
-    "bipartite_double_cover",
-    "build_pricing_instance",
-    "check_disperser_lemma",
-    "color_left",
-    "congestion_threshold",
-    "disperser_replace",
-    "duplicate_clauses",
-    "evaluate_revenue",
-    "exact_bipartite_induced_matching",
-    "extract_semi_induced_matching",
-    "fglss_build",
-    "gap_amplify",
-    "geometric_enum_approx",
-    "is_induced_matching",
-    "is_semi_induced_matching",
-    "load_graph_json",
-    "matching_to_prices",
-    "max_independent_set_bruteforce",
-    "max_induced_matching_bruteforce",
-    "max_sat_bruteforce",
-    "max_semi_induced_matching_bruteforce",
-    "opt_smp_bruteforce",
-    "opt_udp_bruteforce",
-    "random_balanced_csp",
-    "random_bipartite",
-    "random_csp",
-    "random_disperser",
-    "reduce_full",
-    "run_all",
-    "uniform_price_approx",
-    "verify_disperser",
-]
+# every name the imports above bind, less the submodules they bind too
+__all__ = sorted(
+    name for name, value in globals().items()
+    if name == "__version__" or not (name.startswith("_") or type(value) is type(errors))
+)

@@ -24,6 +24,7 @@ Conventions shared by every subcommand:
 import argparse
 import json
 import sys
+from contextlib import suppress
 from fractions import Fraction
 
 from . import __version__, caps
@@ -347,13 +348,21 @@ def cmd_reduce(args):
 # pipeline
 
 
+def _graph_stage(graph) -> dict:
+    """A pipeline graph's size, and its independence number unless the oracle refuses."""
+    stage = {"vertices": graph.vertex_count, "edges": graph.edge_count()}
+    with suppress(CapExceeded):
+        stage["independence"] = max_independent_set_bruteforce(graph)[0]
+    return stage
+
+
 def cmd_pipeline(args):
     stages = {}
     instance = load_csp(args.csp)
     if not instance.clauses:
         raise InputError("the pipeline needs a CSP with at least one clause")
     stage = {"num_vars": instance.num_vars, "num_clauses": len(instance.clauses)}
-    if instance.num_vars <= caps.MAX_SAT_VARS:
+    with suppress(CapExceeded):
         value, _ = max_sat_bruteforce(instance)
         stage["maxsat"] = value
         stage["value_fraction"] = Fraction(value, len(instance.clauses))
@@ -364,19 +373,11 @@ def cmd_pipeline(args):
     stages["amplified"] = {"t": args.t, "num_clauses": len(amplified.clauses)}
 
     graph, labels = fglss_build(amplified)
-    stage = {"vertices": graph.vertex_count, "edges": graph.edge_count()}
-    if graph.vertex_count <= caps.MAX_IS_VERTICES:
-        alpha, _ = max_independent_set_bruteforce(graph)
-        stage["independence"] = alpha
-    stages["fglss"] = stage
+    stages["fglss"] = _graph_stage(graph)
 
     supplier = make_disperser_supplier(args.d, args.seed)
     replaced = disperser_replace(graph, labels, amplified, supplier)
-    stage = {"vertices": replaced.vertex_count, "edges": replaced.edge_count()}
-    if replaced.vertex_count <= caps.MAX_IS_VERTICES:
-        alpha, _ = max_independent_set_bruteforce(replaced)
-        stage["independence"] = alpha
-    stages["replaced"] = stage
+    stages["replaced"] = _graph_stage(replaced)
 
     cover = bipartite_double_cover(replaced)
     stages["double_cover"] = {

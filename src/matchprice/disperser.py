@@ -13,6 +13,12 @@ independent set S of a verified disperser has min(|S cap left|, |S cap right|)
 at most gamma*n, and the bipartite double cover of the disperser (viewed as a
 plain graph) has no semi-induced matching larger than 4*gamma*n under any
 left order.
+
+Known fault, not mended here: that second bound uses 4*gamma*n, but the
+property verified first uses ceil(gamma*n), so when gamma*n is not an
+integer a verified disperser can fail it (random_disperser(4, 3, 0) at
+gamma 1/3 has sim_value 6 > sim_bound 16/3).  Mending it changes the
+sim_bound and sim_cutoff of the benchmark's pinned lemma jobs.
 """
 
 from fractions import Fraction

@@ -54,12 +54,12 @@ class Graph:
         for edge in edges:
             # class identity first: the isinstance tests run only for other types
             if not ((edge.__class__ in _PAIR or isinstance(edge, _PAIR)) and len(edge) == 2):
-                raise InputError(f"edges: {edge!r} is not a pair of vertices")
+                raise InputError(f"edges: {_shown(edge)!r} is not a pair of vertices")
             u, w = edge
             if not ((u.__class__ is int or is_int(u)) and (w.__class__ is int or is_int(w))):
-                raise InputError(f"edge {edge} endpoints must be integers")
+                raise InputError(f"edge {_shown(edge)} endpoints must be integers")
             if not (0 <= u < vertex_count and 0 <= w < vertex_count):
-                raise InputError(f"edge {edge} out of range for n={vertex_count}")
+                raise InputError(f"edge {_shown(edge)} out of range for n={vertex_count}")
             if u == w:
                 raise InputError(f"loop at vertex {u}")
             adj[u] |= 1 << w
@@ -112,12 +112,17 @@ class Graph:
         return load("graph", obj, lambda n, edges: cls(n, _json_edges(edges)), "n", "edges")
 
 
-def _json_edges(edges) -> list:
-    """A json edge list with its [u, w] lists as tuples, or InputError
-    naming the field; the constructor checks each entry."""
+def _json_edges(edges):
+    """A json edge list as it is, or InputError naming the field; the
+    constructor checks each entry."""
     if not isinstance(edges, _PAIR):
         raise InputError("edges must be a list of [u, w] pairs")
-    return [tuple(e) if isinstance(e, list) else e for e in edges]
+    return edges
+
+
+def _shown(edge):
+    """A refused edge as its message prints it: a json [u, w] entry as (u, w)."""
+    return tuple(edge) if isinstance(edge, list) else edge
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -142,12 +147,12 @@ class BipartiteGraph:
         for edge in edges:
             # the same checks and messages as Graph's, then both sides' masks at once
             if not ((edge.__class__ in _PAIR or isinstance(edge, _PAIR)) and len(edge) == 2):
-                raise InputError(f"edges: {edge!r} is not a pair of vertices")
+                raise InputError(f"edges: {_shown(edge)!r} is not a pair of vertices")
             u, w = edge
             if not ((u.__class__ is int or is_int(u)) and (w.__class__ is int or is_int(w))):
-                raise InputError(f"edge {edge} endpoints must be integers")
+                raise InputError(f"edge {_shown(edge)} endpoints must be integers")
             if not (0 <= u < left_count and 0 <= w < right_count):
-                raise InputError(f"edge {edge} out of range for sides {left_count}x{right_count}")
+                raise InputError(f"edge {_shown(edge)} out of range for sides {left_count}x{right_count}")
             left_adj[u] |= 1 << w
             right_adj[w] |= 1 << u
         self._set_masks(left_count, right_count, left_adj, right_adj)

@@ -28,9 +28,9 @@ from .pricing import (
     PricingInstance,
     check_rule,
     evaluate_revenue,
+    extend_prices,
     instance_to_json,
 )
-from .rationals import INF
 
 ZERO = Fraction(0)
 
@@ -159,7 +159,7 @@ def build_pricing_instance(gprime: BipartiteGraph, coloring: Coloring, d: int,
 
 
 def matching_to_prices(out: ReductionOutput, m: Matching, rule: str) -> PriceFunction:
-    """Price matched items at their buyer's budget; fill the rest.
+    """Price matched items at their buyer's budget; extend_prices fills the rest.
 
     Requires an induced matching: then each matched group's cheapest bundle
     item is exactly its own matched item (everything else in the bundle is
@@ -169,12 +169,10 @@ def matching_to_prices(out: ReductionOutput, m: Matching, rule: str) -> PriceFun
     check_rule(rule)
     if not is_induced_matching(out.graph, m):
         raise InputError("matching is not induced in the reduced graph")
-    fill = INF if rule == UDP else ZERO
-    prices = [fill] * out.instance.item_count
-    for u, v in m:
-        group = out.instance.groups[out.group_of_left_vertex[u]]
-        prices[out.item_of_right_vertex[v]] = group.budget
-    return PriceFunction(prices)
+    budgets = {out.item_of_right_vertex[v]: out.instance.groups[out.group_of_left_vertex[u]].budget
+               for u, v in m}
+    items = sorted(budgets)
+    return extend_prices(out.instance, items, PriceFunction(budgets[i] for i in items), rule)
 
 
 def _chosen_right(out: ReductionOutput, prices: PriceFunction, rule: str, u: int, sale) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import matchprice
-from matchprice import cli, graphs
+from matchprice import caps, cli, graphs
 from matchprice.cli import COMMANDS, build_parser, dumps, main
 from matchprice.csp_fglss import CspInstance
 from matchprice.graphs import load_graph_json, max_induced_matching_bruteforce
@@ -198,6 +199,54 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
                 "reduction", "pricing", "extraction"}
     assert expected <= set(report["stages"])
     assert "gap" in report and report["seed"] == 4
+
+
+# sha256 of the pipeline run report on the README's CSP, recorded before the
+# pipeline asked each oracle for its cap instead of comparing sizes itself.
+# Caps set low drop the stage key their oracle fills, or send pricing to the
+# geometric fallback.
+README_RUN = ["--t", "2", "--d", "4", "--seed", "5"]
+ONE_ROUND = ["--t", "1", "--d", "4", "--seed", "5"]
+LOW = {"MAX_SAT_VARS": 2, "MAX_IS_VERTICES": 3}
+PIPELINE_DIGESTS = [
+    ({}, README_RUN, "udp", "05e02f4048d634e56e9856ce84f6239376616170d7b04c938bc183cfe8ddd1b9"),
+    ({}, README_RUN, "smp", "243267c2fabb04c704fbb16c30472c8501b974e58f7f3514cd1154d9ee66d096"),
+    ({"MAX_SAT_VARS": 2}, ONE_ROUND, "udp",
+     "03f2d92e97e7255eb6514bab02cd1b8a24c59e26bdc2e4d443c66f164e65d007"),
+    ({"MAX_SAT_VARS": 2}, ONE_ROUND, "smp",
+     "2b03471fd3a6a16bd2560687460c1c49465fbdfe90ad47cce82b61b70f843482"),
+    ({"MAX_IS_VERTICES": 3}, README_RUN, "udp",
+     "44e79f1c622765e012554d030bd1986332ea500765dbffd4c267b5383643c4b7"),
+    ({"MAX_IS_VERTICES": 3}, README_RUN, "smp",
+     "cbc0fe08d5a8b639f097104fc28d225a5c9e9d5f654b606151f67f71149b5d45"),
+    ({"MAX_UDP_ITEMS": 1}, README_RUN, "udp",
+     "e1a58c0c436c521582b22a035a49b478b38d3c512cf9c2ec62343264ae02ee6f"),
+    ({"MAX_SMP_GROUPS": 1}, README_RUN, "smp",
+     "8c2faedb81c12384aa468eb9284a691ba80e9fbb6a3515302dd8d18f84c22dc4"),
+    ({**LOW, "MAX_UDP_ITEMS": 1}, README_RUN, "udp",
+     "81f32fb15efbadd510aeff83e8e0dbe5d7563bac17c0c98a3343fd567a78858b"),
+    ({**LOW, "MAX_SMP_GROUPS": 1}, README_RUN, "smp",
+     "ab94458980ed786bb208c0ffdd69e0c6e068f115485877369a157e7da31ae275"),
+]
+
+
+@pytest.mark.parametrize("low_caps, argv, rule, digest", PIPELINE_DIGESTS)
+def test_pipeline_report_bytes_are_pinned(low_caps, argv, rule, digest, tmp_path, capsys,
+                                          monkeypatch):
+    csp = tmp_path / "csp.json"
+    assert run(capsys, "csp", "gen", "--num-vars", "3", "--num-clauses", "3", "--arity", "2",
+               "--balanced", "--seed", "5", "--out", str(csp))[0] == 0
+    for name, value in low_caps.items():
+        monkeypatch.setattr(caps, name, value)
+    code, stdout = run(capsys, "pipeline", "run", "--csp", str(csp), "--rule", rule, *argv)
+    assert code == 0
+    stages = json.loads(stdout)["stages"]
+    assert ("maxsat" in stages["csp"]) == ("MAX_SAT_VARS" not in low_caps)
+    for stage in ("fglss", "replaced"):
+        assert ("independence" in stages[stage]) == ("MAX_IS_VERTICES" not in low_caps)
+    fallback = {"MAX_UDP_ITEMS", "MAX_SMP_GROUPS"} & low_caps.keys()
+    assert stages["pricing"]["algo"] == ("geometric" if fallback else "oracle")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_verify_all_deterministic_bytes(tmp_path, capsys):

@@ -990,6 +990,47 @@ def test_extraction_matches_alive_dict_and_used_set_reference():
 
 
 # ---------------------------------------------------------------------------
+# matching_to_prices: its own fill loop, before extend_prices filled for it
+
+
+def ref_matching_to_prices(out, m, rule):
+    check_rule(rule)
+    if not is_induced_matching(out.graph, m):
+        raise InputError("matching is not induced in the reduced graph")
+    fill = INF if rule == UDP else ZERO
+    prices = [fill] * out.instance.item_count
+    for u, v in m:
+        group = out.instance.groups[out.group_of_left_vertex[u]]
+        prices[out.item_of_right_vertex[v]] = group.budget
+    return PriceFunction(prices)
+
+
+def test_matching_prices_match_fill_loop_reference():
+    """The maximum induced matching of each reduced graph in the extraction
+    corpus, random parts of it, random edge sets (mostly not induced), an
+    edge out of range and an unknown rule."""
+    rng = random.Random(1505)
+    priced = refused = 0
+    last = None
+    for out, _, rule in extraction_corpus():
+        if out is last:
+            continue
+        last = out
+        edges = out.graph.sorted_edges()
+        best = list(exact_bipartite_induced_matching(out.graph)[1])
+        matchings = [best, []] + [rng.sample(best, rng.randint(0, len(best))) for _ in range(3)]
+        matchings += [rng.sample(edges, rng.randint(1, min(3, len(edges)))) for _ in range(3)]
+        matchings.append([(0, out.graph.right_count)])
+        for m in map(Matching, matchings):
+            for r in (rule, "xyz"):
+                got = loaded(matching_to_prices, out, m, r)
+                assert got == loaded(ref_matching_to_prices, out, m, r), (out.graph.to_json(), m, r)
+                priced += isinstance(got, PriceFunction)
+                refused += isinstance(got, str)
+    assert priced and refused
+
+
+# ---------------------------------------------------------------------------
 # disperser_replace: re-derive every kept disagreement edge pair by pair
 
 
@@ -2329,6 +2370,11 @@ def ref_disperser(left_count, right_count, edges, target_degree):
     return (*masks, target_degree)
 
 
+def as_tuples(edges):
+    """The edge list with each list entry copied into a tuple."""
+    return [tuple(e) if isinstance(e, list) else e for e in edges]
+
+
 def loaded(build, *args):
     """What build(*args) makes, as masks, or the message it refuses with."""
     try:
@@ -2376,20 +2422,22 @@ def loader_inputs(draw):
 def test_loaders_match_checking_call_and_transpose_reference(case):
     left, right, edges, degree = case
     n = max(left, right)
-    assert loaded(Graph, n, edges) == loaded(ref_graph, n, edges)
-    assert loaded(BipartiteGraph, left, right, edges) == loaded(ref_bipartite, left, right, edges)
+    # the constructors print a refused list entry as a tuple
+    assert loaded(Graph, n, edges) == loaded(ref_graph, n, as_tuples(edges))
+    assert (loaded(BipartiteGraph, left, right, edges)
+            == loaded(ref_bipartite, left, right, as_tuples(edges)))
     assert (loaded(DisperserGraph, left, right, edges, degree)
-            == loaded(ref_disperser, left, right, edges, degree))
+            == loaded(ref_disperser, left, right, as_tuples(edges), degree))
     # the same entries as a json file holds them
     edge_json = json.loads(json.dumps(edges))
     graph_obj = {"n": n, "edges": edge_json}
     bip_obj = {"left": left, "right": right, "edges": edge_json}
     disp_obj = {**bip_obj, "target_degree": degree}
     assert loaded(Graph.from_json, graph_obj) == loaded(
-        load, "graph", graph_obj, lambda n, e: ref_graph(n, _json_edges(e)), "n", "edges")
+        load, "graph", graph_obj, lambda n, e: ref_graph(n, as_tuples(_json_edges(e))), "n", "edges")
     assert loaded(BipartiteGraph.from_json, bip_obj) == loaded(
-        load, "bipartite graph", bip_obj, lambda a, b, e: ref_bipartite(a, b, _json_edges(e)),
+        load, "bipartite graph", bip_obj, lambda a, b, e: ref_bipartite(a, b, as_tuples(_json_edges(e))),
         "left", "right", "edges")
     assert loaded(DisperserGraph.from_json, disp_obj) == loaded(
-        load, "disperser", disp_obj, lambda a, b, e, d: ref_disperser(a, b, _json_edges(e), d),
+        load, "disperser", disp_obj, lambda a, b, e, d: ref_disperser(a, b, as_tuples(_json_edges(e)), d),
         "left", "right", "edges", "target_degree")

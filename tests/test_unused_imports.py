@@ -4,8 +4,10 @@ Only caps.py constructs CapExceeded, every caps.require call names a
 declared cap as a string literal, no assert statement remains, only
 errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, no
 except clause names KeyError, the public functions of ratlp are exactly
-maximize and maximize_subsets, and verify builds random.Random in one
-place, its driver.
+maximize and maximize_subsets, verify builds random.Random in one
+place, its driver, and `__init__.py` holds only relative `from .x import`
+statements, the `__version__` assignment and an `__all__` computed from
+the names they bind.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -14,9 +16,11 @@ skipped (its imports are re-exports) and so are `from __future__` imports.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import matchprice
 from matchprice import caps, verify
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchprice"
@@ -255,3 +259,49 @@ def test_verify_has_one_driver():
     generator of its own would need a second random.Random."""
     assert len(random_constructions((PACKAGE / "verify.py").read_text())) == 1
     assert verify.CLAIMS.keys() == verify.CHECKS.keys()
+
+
+def init_statements_out_of_shape(source: str) -> list[str]:
+    """Top-level statements other than the docstring, relative `from .x
+    import` statements, `__version__` set to a string and `__all__` set to
+    anything but a hand-written list or tuple."""
+    bad = []
+    for index, node in enumerate(ast.parse(source).body):
+        target = getattr(node, "targets", [None])[0]
+        name = getattr(target, "id", None) if isinstance(node, ast.Assign) else None
+        value = getattr(node, "value", None)
+        if not (
+            (index == 0 and isinstance(node, ast.Expr) and isinstance(value, ast.Constant))
+            or (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
+            or (name == "__version__" and isinstance(value, ast.Constant)
+                and isinstance(value.value, str))
+            or (name == "__all__" and not isinstance(value, (ast.List, ast.Tuple)))
+        ):
+            bad.append(f"line {node.lineno}")
+    return bad
+
+
+def test_init_checker_sees_every_other_statement():
+    source = (
+        '"""doc"""\n__version__ = "1"\nfrom .a import b\nfrom a import c\nimport os\n'
+        'from . import d\nx = 1\n__version__ = 2\n__all__ = ["b"]\n__all__ = sorted(globals())\n'
+        '"""not a docstring"""\n'
+    )
+    assert init_statements_out_of_shape(source) == [
+        "line 4", "line 5", "line 6", "line 7", "line 8", "line 9", "line 11"]
+
+
+def test_init_only_imports_and_computes_its_names():
+    """No hand list of names to drift from the imports, and no stdlib or
+    helper name bound in the package namespace."""
+    assert init_statements_out_of_shape((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_package_exports_every_import_and_no_module():
+    names = matchprice.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if isinstance(getattr(matchprice, name), ModuleType)] == []
+    assert "random_graph" in names
+    star = {}
+    exec("from matchprice import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
