@@ -356,58 +356,43 @@ def is_semi_induced_matching(g, order: VertexOrder, m: Matching) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# maximum independent set engine (bitmask branch and bound)
-
-
-def _mis_size(adj, cand: int) -> int:
-    best = 0
-
-    def grow(cand: int, depth: int) -> None:
-        nonlocal best
-        if depth > best:
-            best = depth
-        while cand:
-            if depth + cand.bit_count() <= best:
-                return
-            pivot, pivot_deg = -1, -1
-            m = cand
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                deg = (adj[u] & cand).bit_count()
-                if deg > pivot_deg:
-                    pivot, pivot_deg = u, deg
-                m ^= low
-            if pivot_deg == 0:
-                # all remaining vertices are pairwise nonadjacent
-                best = max(best, depth + cand.bit_count())
-                return
-            grow(cand & ~adj[pivot] & ~(1 << pivot), depth + 1)
-            cand &= ~(1 << pivot)
-
-    grow(cand, 0)
-    return best
+# maximum independent set engine (bitmask depth-first search)
 
 
 def _mis_lex_witness(adj, n: int) -> tuple[int, tuple[int, ...]]:
-    """Size and the lexicographically least maximum independent set."""
-    cand = (1 << n) - 1
-    size = _mis_size(adj, cand)
+    """Size and the lexicographically least maximum independent set.
+
+    One depth-first search branches on the least candidate, taking it
+    before leaving it out, so sets are met in lexicographic order; a set is
+    recorded only when strictly larger than the best so far, and a branch
+    is cut once it cannot beat that.  A least candidate with no candidate
+    neighbour is simply taken.  With exactly one, leaving it out is never
+    needed: swapping that neighbour for it keeps any set independent, of
+    the same size and lexicographically smaller."""
     chosen: list[int] = []
-    remaining = size
-    while remaining:
-        m = cand
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            rest = cand & ~adj[u] & ~low
-            if _mis_size(adj, rest) == remaining - 1:
-                chosen.append(u)
-                cand = rest
-                remaining -= 1
+    best: list[int] = []
+
+    def grow(cand: int) -> None:
+        nonlocal best
+        taken = len(chosen)
+        while len(chosen) + cand.bit_count() > len(best):
+            if not cand:
+                best = chosen.copy()
                 break
-            m ^= low
-    return size, tuple(chosen)
+            low = cand & -cand
+            v = low.bit_length() - 1
+            chosen.append(v)
+            near = adj[v] & cand
+            if near:
+                grow(cand & ~near & ~low)
+                chosen.pop()
+                if not near & (near - 1):
+                    break
+            cand ^= low
+        del chosen[taken:]
+
+    grow((1 << n) - 1)
+    return len(best), tuple(best)
 
 
 def max_independent_set_bruteforce(g) -> tuple[int, frozenset]:

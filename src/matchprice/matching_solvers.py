@@ -45,10 +45,11 @@ def round_robin_blocks(n: int, r: int) -> list[list[int]]:
 # exact bipartite solver
 
 
-def _scan_side_maximum(masks: list[int]) -> list[int]:
+def _scan_side_maximum(masks: list[int]) -> list[tuple[int, int]]:
     """Largest subset S of indices such that every i in S has a bit of
     masks[i] outside the union of the other chosen masks; among maximum
-    subsets, the lexicographically least.  Masks may be arbitrarily wide.
+    subsets, the lexicographically least.  Returns (i, those private bits)
+    for each i in S, ascending.  Masks may be arbitrarily wide.
 
     The property is hereditary, so Östergård's suffix bound applies:
     bound[j] is the size of the largest valid subset of indices j..n-1.  A
@@ -69,18 +70,19 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
         shared |= seen & m
         seen |= m
     if all(m & ~shared for m in masks):
-        return list(range(n))
+        return [(i, m & ~shared) for i, m in enumerate(masks)]
     bound = [0] * (n + 1)
 
-    def extend(start: int, chosen: list[int], privates: list[int], union_mask: int, need: int) -> bool:
-        # add `need` indices from start on to chosen, leaving them in place
-        # on success; every chosen mask keeps a private bit (privates[k] is
+    def extend(start: int, chosen: list[int], privates: list[int], union_mask: int,
+               need: int) -> list[tuple[int, int]] | None:
+        # add `need` indices from start on to chosen and return the pairs,
+        # or None; every chosen mask keeps a private bit (privates[k] is
         # what is left of chosen[k]'s)
         if not need:
-            return True
+            return list(zip(chosen, privates))
         for i in range(start, n):
             if bound[i] < need:
-                return False
+                return None
             m = masks[i]
             fresh = m & ~union_mask
             if not fresh:
@@ -97,25 +99,25 @@ def _scan_side_maximum(masks: list[int]) -> list[int]:
                 continue
             chosen.append(i)
             shrunk.append(fresh)
-            if extend(i + 1, chosen, shrunk, union_mask | m, need - 1):
-                return True
+            hit = extend(i + 1, chosen, shrunk, union_mask | m, need - 1)
+            if hit:
+                return hit
             chosen.pop()
-        return False
+        return None
 
-    def starting_at(i: int, size: int) -> list[int] | None:
+    def starting_at(i: int, size: int) -> list[tuple[int, int]] | None:
         # a zero mask has no private bit, so it never starts a set
         m = masks[i]
-        chosen = [i]
-        return chosen if m and extend(i + 1, chosen, [m], m, size - 1) else None
+        return extend(i + 1, [i], [m], m, size - 1) if m else None
 
-    top: list[int] = []
+    top: list[tuple[int, int]] = []
     for i in range(n - 1, -1, -1):
         hit = starting_at(i, bound[i + 1] + 1)
         if hit:
             bound[i], top = len(hit), hit
         else:
             bound[i] = bound[i + 1]
-    for i in range(top[0] if top else 0):
+    for i in range(top[0][0] if top else 0):
         hit = starting_at(i, bound[0])
         if hit:
             return hit
@@ -127,16 +129,7 @@ def _side_maximum_pairs(masks: list[int]) -> list[tuple[int, int]]:
     set over the given side masks.  At most caps.MAX_EXACT_SIDE masks."""
     caps.require("MAX_EXACT_SIDE", len(masks),
                  "exact solver scans min(left, right) = {used} vertices, limit is {limit}")
-    chosen = _scan_side_maximum(masks)
-    pairs = []
-    for i in chosen:
-        others = 0
-        for j in chosen:
-            if j != i:
-                others |= masks[j]
-        private = masks[i] & ~others
-        pairs.append((i, (private & -private).bit_length() - 1))
-    return pairs
+    return [(i, (private & -private).bit_length() - 1) for i, private in _scan_side_maximum(masks)]
 
 
 def exact_bipartite_induced_matching(bg: BipartiteGraph) -> tuple[int, Matching]:

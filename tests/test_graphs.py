@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 from unittest import mock
@@ -207,6 +208,18 @@ def test_mis_lex_witness_prefers_small_indices():
     size, witness = max_independent_set_bruteforce(g)
     assert size == 4
     assert witness == frozenset({1, 2, 3, 4})
+    # 0 has one neighbour, so {0, 2} comes before any set that leaves 0 out
+    assert max_independent_set_bruteforce(path(4)) == (2, frozenset({0, 2}))
+    # an isolated 0 is taken beside the least vertex of the triangle
+    g = Graph(4, [(1, 2), (1, 3), (2, 3)])
+    assert max_independent_set_bruteforce(g) == (2, frozenset({0, 1}))
+
+
+def test_mis_engine_takes_isolated_vertices_without_recursion():
+    start = time.perf_counter()
+    size, witness = graphs._mis_lex_witness([0] * 3000, 3000)
+    assert time.perf_counter() - start < 0.1
+    assert (size, witness) == (3000, tuple(range(3000)))
 
 
 def test_mis_matches_naive_enumeration():
@@ -218,6 +231,10 @@ def test_mis_matches_naive_enumeration():
         assert size == naive_independent_sets(g)
         assert all(not g.has_edge(u, w) for u, w in combinations(sorted(witness), 2))
         assert len(witness) == size
+        # the witness is the first maximum set in combinations order
+        first = next(sub for sub in combinations(range(n), size)
+                     if all(not g.has_edge(u, w) for u, w in combinations(sub, 2)))
+        assert tuple(sorted(witness)) == first
 
 
 def test_mis_cap():

@@ -19,7 +19,9 @@ combinations scan both of them came to share, the Fraction tableau simplex behin
 the full integer tableau the dictionary simplex replaced, the full
 product scan that geometric enumeration and the UDP oracle ran
 before their branch-and-bound search, and the graph constructors that
-checked each edge with a helper call and then transposed the left masks.
+checked each edge with a helper call and then transposed the left masks,
+and the maximum independent set engine that ran a max-degree-pivot size
+search once, then again for each candidate its greedy witness tried.
 The engines must return the same values and the same witnesses on every
 seeded input, and refuse the same inputs.
 """
@@ -252,6 +254,21 @@ def ref_scan_side_maximum(masks):
     return best
 
 
+def assert_same_scan(masks):
+    """The scan's indices are the reference's, each with its mask's bits
+    outside the other chosen masks."""
+    expected = ref_scan_side_maximum(masks)
+    got = _scan_side_maximum(masks)
+    assert [i for i, _ in got] == expected, masks
+    for i, private in got:
+        others = 0
+        for j in expected:
+            if j != i:
+                others |= masks[j]
+        assert private == masks[i] & ~others, masks
+    return expected
+
+
 def scan_mask_corpus(rng):
     """Fifteen mask lists of each length 0..20, up to 130 bits wide, with
     zero, duplicate and nested masks mixed in."""
@@ -278,8 +295,7 @@ def test_side_scan_matches_depth_first_reference():
     seen = {"zero": 0, "duplicate": 0, "nested": 0, "wide": 0, "none_valid": 0}
     sizes = set()
     for masks in scan_mask_corpus(rng):
-        expected = ref_scan_side_maximum(masks)
-        assert _scan_side_maximum(masks) == expected, masks
+        expected = assert_same_scan(masks)
         sizes.add(len(expected))
         seen["zero"] += 0 in masks
         seen["duplicate"] += any(m and masks.count(m) > 1 for m in masks)
@@ -294,8 +310,7 @@ def test_side_scan_matches_depth_first_reference():
     for _ in range(40):
         p = rng.choice((0.02, 0.05))
         masks = [sum(1 << b for b in range(200) if rng.random() < p) for _ in range(20)]
-        expected = ref_scan_side_maximum(masks)
-        assert _scan_side_maximum(masks) == expected, masks
+        expected = assert_same_scan(masks)
         whole_side += expected == list(range(20))
     assert 10 <= whole_side <= 30, whole_side
 
@@ -626,13 +641,13 @@ def rule_outcome(fn, *args):
 
 def ref_induced_oracle(g):
     edge_list = g.sorted_edges()
-    size, witness = _mis_lex_witness(ref_edge_conflicts_induced(g, edge_list), len(edge_list))
+    size, witness = ref_mis_lex_witness(ref_edge_conflicts_induced(g, edge_list), len(edge_list))
     return size, Matching(edge_list[i] for i in witness)
 
 
 def ref_semi_oracle(g, order):
     edge_list = g.sorted_edges()
-    size, witness = _mis_lex_witness(ref_edge_conflicts_semi(g, edge_list, order), len(edge_list))
+    size, witness = ref_mis_lex_witness(ref_edge_conflicts_semi(g, edge_list, order), len(edge_list))
     return size, Matching(edge_list[i] for i in witness), order
 
 
@@ -703,6 +718,108 @@ def test_matching_rules_match_per_kind_branches():
                                   verdicts)
     # valid and invalid pair lists, out-of-range pairs and misshapen orders
     assert verdicts == {True, False, "matching", "order"}
+
+
+# ---------------------------------------------------------------------------
+# maximum independent set: a size search, re-run by a greedy witness
+
+
+def ref_mis_size(adj, cand: int) -> int:
+    best = 0
+
+    def grow(cand: int, depth: int) -> None:
+        nonlocal best
+        if depth > best:
+            best = depth
+        while cand:
+            if depth + cand.bit_count() <= best:
+                return
+            pivot, pivot_deg = -1, -1
+            m = cand
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                deg = (adj[u] & cand).bit_count()
+                if deg > pivot_deg:
+                    pivot, pivot_deg = u, deg
+                m ^= low
+            if pivot_deg == 0:
+                # all remaining vertices are pairwise nonadjacent
+                best = max(best, depth + cand.bit_count())
+                return
+            grow(cand & ~adj[pivot] & ~(1 << pivot), depth + 1)
+            cand &= ~(1 << pivot)
+
+    grow(cand, 0)
+    return best
+
+
+def ref_mis_lex_witness(adj, n: int) -> tuple[int, tuple[int, ...]]:
+    """Size and the lexicographically least maximum independent set."""
+    cand = (1 << n) - 1
+    size = ref_mis_size(adj, cand)
+    chosen: list[int] = []
+    remaining = size
+    while remaining:
+        m = cand
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            rest = cand & ~adj[u] & ~low
+            if ref_mis_size(adj, rest) == remaining - 1:
+                chosen.append(u)
+                cand = rest
+                remaining -= 1
+                break
+            m ^= low
+    return size, tuple(chosen)
+
+
+def mis_corpus(rng):
+    """(adjacency masks, vertex count) of random graphs, FGLSS graphs,
+    induced and fixed-order semi-induced conflict graphs, and two graphs
+    with many maximum sets, all on at most 24 vertices."""
+    for n in range(1, 25):
+        for p in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9):
+            g = random_graph(n, p, seed=rng.randrange(10**6))
+            yield g._adj, n
+    made = 0
+    while made < 40:
+        num_vars = rng.randint(2, 6)
+        inst = random_csp(num_vars, rng.randint(1, 6), rng.randint(1, min(3, num_vars)),
+                          rng.randrange(10**6))
+        g, _ = fglss_build(inst)
+        if g.vertex_count <= 24:
+            yield g._adj, g.vertex_count
+            made += 1
+    made = 0
+    while made < 80:
+        if made % 2:
+            g = random_graph(rng.randint(3, 10), rng.choice((0.2, 0.35, 0.5)), rng.randrange(10**6))
+            order = random_order(rng, g.vertex_count)
+        else:
+            g = random_bipartite(rng.randint(2, 7), rng.randint(2, 7), rng.choice((0.2, 0.35, 0.5)),
+                                 rng.randrange(10**6))
+            order = random_order(rng, g.left_count)
+        edge_list = g.sorted_edges()
+        if len(edge_list) <= 24:
+            yield ref_edge_conflicts_induced(g, edge_list), len(edge_list)
+            yield ref_edge_conflicts_semi(g, edge_list, order), len(edge_list)
+            made += 1
+    label = list(range(24))
+    rng.shuffle(label)
+    triangles = [(label[3 * t + a], label[3 * t + b]) for t in range(8) for a, b in ((0, 1), (0, 2), (1, 2))]
+    yield Graph(24, triangles)._adj, 24
+    yield Graph(24, [(v, (v + 1) % 24) for v in range(24)])._adj, 24
+
+
+def test_mis_search_matches_size_search_and_greedy_witness():
+    sizes = []
+    for adj, n in mis_corpus(random.Random(1972)):
+        expected = ref_mis_lex_witness(adj, n)
+        assert _mis_lex_witness(adj, n) == expected, (adj, n)
+        sizes.append(expected[0])
+    assert len(sizes) == 346 and set(sizes) >= set(range(13)) and max(sizes) >= 16, sizes
 
 
 # ---------------------------------------------------------------------------
