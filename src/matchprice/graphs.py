@@ -23,6 +23,13 @@ and an order of its lefts ranks every right after every left.  Each edge
 is then anchored at its left end, so for matching edges uv, u'v' with
 rank(u) < rank(u') the semi-induced rule forbids exactly the edge uv'.
 
+Listed by anchor rank, a semi-induced matching is a sequence of edges in
+which each anchor and its partner avoid the closed neighbourhood of every
+earlier anchor; any such sequence is semi-induced for an order ranking its
+anchors first, in turn.  One search (_sequence_search) therefore serves a
+fixed order, taking anchors in rank order, and all orders, taking them in
+any order, for both oracle modes and the expanding-sequence values.
+
 A graph is stored once, as neighbour bitmasks, and its edge set is derived on
 demand.  Edge lists are validated on input; derived graphs are built from masks.
 """
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from functools import reduce
 from itertools import combinations
 
 from . import caps
@@ -464,12 +472,12 @@ def max_induced_matching_bruteforce(g) -> tuple[int, Matching]:
     return size, m
 
 
-def _order_for(g, pairs, bipartite):
-    """The Kahn order of the first anchoring of pairs (u, w), u < w, in
-    canonical order whose precedence arcs are acyclic, or None.  Bit i of
-    the code anchors pair i at w.  A bipartite g is flattened, lefts first,
-    and its order ranks only lefts: it takes the one anchoring at the left
-    ends (code 0), with no anchor-to-partner arcs."""
+def _order_for(g, pairs, bipartite, n):
+    """The order of n vertices led by the Kahn order of the first anchoring
+    of pairs (u, w), u < w, in canonical order whose precedence arcs are
+    acyclic, or None.  Bit i of the code anchors pair i at w.  A bipartite g
+    is flattened, lefts first, and ranks its n lefts only: it takes the one
+    anchoring at the left ends (code 0), with no anchor-to-partner arcs."""
     for code in range(1 if bipartite else 1 << len(pairs)):
         anchored = [(w, u) if code >> i & 1 else (u, w) for i, (u, w) in enumerate(pairs)]
         arcs = set() if bipartite else set(anchored)
@@ -485,7 +493,7 @@ def _order_for(g, pairs, bipartite):
         else:
             seq = _topo_order(arcs)
             if seq is not None:
-                return seq
+                return VertexOrder.from_sequence(seq + [v for v in range(n) if v not in seq])
     return None
 
 
@@ -519,95 +527,112 @@ def max_semi_induced_matching_bruteforce(g, order) -> tuple[int, Matching, Verte
     order=ALL_ORDERS ("all"), maximises over every order as well; this mode
     is capped at caps.MAX_ALL_ORDER_VERTICES vertices.  Returns
     (size, matching, order); in "all" mode the returned order is a witness
-    achieving the maximum.
+    achieving the maximum.  Both modes run the anchor-sequence search.
     """
     flat = _flat(g)
-    edge_list = g.sorted_edges()
     flat_edges = flat.sorted_edges()
     if isinstance(order, VertexOrder):
-        # Fixed-order mode enumerates edge subsets, so only the edge cap
+        # Fixed-order mode searches edge sets, so only the edge cap
         # applies; vertex count is irrelevant to the search space.
-        caps.require("MAX_IM_EDGES", len(edge_list),
+        caps.require("MAX_IM_EDGES", len(flat_edges),
                      "edge-subset enumeration limited to {limit} edges, got {used}")
-        masks = _edge_conflicts_semi(flat, flat_edges, _flat_ranks(g, order))
-        size, witness = _mis_lex_witness(masks, len(edge_list))
-        m = Matching(edge_list[i] for i in witness)
-        if not is_semi_induced_matching(g, order, m):
-            raise InvariantViolation(f"max_semi_induced_matching_bruteforce: {m} not semi-induced")
-        return size, m, order
-    if order != ALL_ORDERS:
+        ranks = _flat_ranks(g, order)
+    elif order != ALL_ORDERS:
         raise InputError("order must be a VertexOrder or the string 'all'")
-    caps.require("MAX_ALL_ORDER_VERTICES", flat.vertex_count,
-                 "all-orders mode limited to {limit} vertices, got {used}")
+    else:
+        caps.require("MAX_ALL_ORDER_VERTICES", flat.vertex_count,
+                     "all-orders mode limited to {limit} vertices, got {used}")
+        ranks = None
     bip = isinstance(g, BipartiteGraph)
-    best_pairs: list[tuple[int, int]] = []
-
-    # Straightforward recursive enumeration in lexicographic edge order.
-    # Adding an edge only adds order constraints, so an infeasible prefix
-    # can be pruned: none of its extensions can become feasible.
-    def enumerate_from(start: int, pairs: list, used: int) -> None:
-        nonlocal best_pairs
-        if len(pairs) > len(best_pairs):
-            best_pairs = list(pairs)
-        for i in range(start, len(flat_edges)):
-            u, w = flat_edges[i]
-            ends = (1 << u) | (1 << w)
-            if used & ends:
-                continue
-            pairs.append((u, w))
-            if _order_for(flat, pairs, bip) is not None:
-                enumerate_from(i + 1, pairs, used | ends)
-            pairs.pop()
-
-    enumerate_from(0, [], 0)
-
-    unflat = dict(zip(flat_edges, edge_list))
-    m = Matching(unflat[p] for p in best_pairs)
-    seq = _order_for(flat, best_pairs, bip)
-    placed = set(seq)
-    # the order of a bipartite graph ranks its lefts only
-    seq.extend(v for v in range(g.left_count if bip else g.vertex_count) if v not in placed)
-    witness_order = VertexOrder.from_sequence(seq)
-    if not is_semi_induced_matching(g, witness_order, m):
-        raise InvariantViolation(f"max_semi_induced_matching_bruteforce: {m} not semi-induced")
-    return len(best_pairs), m, witness_order
+    size = _longest(_anchor_search(flat, ranks, bip, flat_edges), len(flat_edges))
+    # The lexicographically least maximum edge set: keep an edge when a
+    # maximum set holds it and the kept edges, and otherwise only later ones.
+    kept: list[tuple[int, int]] = []
+    rest = flat_edges
+    while rest and len(kept) < size:
+        (u, w), *rest = rest
+        later = [e for e in rest if u not in e and w not in e]
+        if _anchor_search(flat, ranks, bip, later, kept + [(u, w)])(size):
+            kept.append((u, w))
+            rest = later
+    m = Matching((u, w - g.left_count) if bip else (u, w) for u, w in kept)
+    if ranks is None:
+        order = _order_for(flat, kept, bip, g.left_count if bip else g.vertex_count)
+    if len(m) != size or not is_semi_induced_matching(g, order, m):
+        raise InvariantViolation(f"max_semi_induced_matching_bruteforce: bad witness {m} for size {size}")
+    return size, m, order
 
 
-def _longest_sequence(masks, cutoff: int, ordered: bool) -> int:
-    """Longest k (capped at cutoff) such that lefts u_1, ..., u_k, with
-    neighbour masks from masks (in that order if ordered, else any), each
-    keep a right that no earlier u_i is adjacent to.
+def _anchor_search(flat: Graph, ranks, bip: bool, pairs, kept=()):
+    """The sequence search for semi-induced matchings of flat holding every
+    kept edge and any of pairs, for the flat ranks ranks or, if None, for
+    some order.  An edge is anchored at its lower-ranked end, its left end
+    if bip, or either end; an anchor's step ORs its partners together, and
+    each kept edge has steps of its own and forced ends."""
 
-    Taking u removes all of N(u) from the rights later lefts may use, so a
-    state is (first usable index, free rights).  The search asks "is there
-    a sequence of length best + 1?" until the answer is no.  A state fails
-    at once when fewer free rights or usable masks remain than still
-    needed; a dict keeps, per state, the least length known to fail from it.
-    """
-    count = len(masks)
-    free = 0
-    for mask in masks:
-        free |= mask
+    def anchorings(u, w):
+        if ranks is None and not bip:
+            return (u, w), (w, u)
+        return ((w, u) if ranks is not None and ranks[w] < ranks[u] else (u, w),)
+
+    partners: dict[int, int] = {}
+    for u, w in pairs:
+        for a, b in anchorings(u, w):
+            partners[a] = partners.get(a, 0) | 1 << b
+    anchored = list(partners.items())
+    forced = 0
+    for u, w in kept:
+        anchored += [(a, 1 << b) for a, b in anchorings(u, w)]
+        forced |= (0 if bip else 1 << u) | 1 << w  # a bipartite left is never a partner
+    if ranks is not None:
+        anchored.sort(key=lambda step: ranks[step[0]])
+    steps = [(o, c, flat._adj[a] | o) for a, c in anchored for o in [0 if bip else 1 << a]]
+    return _sequence_search(steps, forced, ordered=ranks is not None)
+
+
+def _sequence_search(steps, forced: int, ordered: bool):
+    """reaches(need): whether at least need of the steps (own, choose, kill)
+    can be taken one after another, in list order if ordered, each forced
+    bit removed by a step that owns or chooses it and by no other.  A step
+    is legal while its own bits and a choose bit are free and it removes no
+    other free forced bit; taking it removes its kill bits, which hold both.
+    A state (first usable index, free bits) is cut when fewer free bits or
+    steps with a free choose bit remain than needed: a step failing the
+    other tests may pass them later.  A dict keeps per state the least need
+    known to fail, as every larger one fails too."""
+    own, choose, kill = ([step[i] for step in steps] for i in range(3))
+    count = len(steps)
+    blocks = [k & forced & ~(o | c) for o, c, k in steps]
+    checked = forced or any(own)
+    free = reduce(int.__or__, own + choose, 0)
     fails: dict[tuple[int, int], int] = {}
 
     def reaches(start: int, avail: int, need: int) -> bool:
-        if not need:
+        if need <= 0 and not avail & forced:
             return True
         key = (start, avail)
         if fails.get(key, need + 1) <= need:
             return False
         if avail.bit_count() >= need:
-            usable = [j for j in range(start, count) if masks[j] & avail]
+            usable = [j for j in range(start, count) if choose[j] & avail]
             if len(usable) >= need:
-                # in order, the first pick must leave need - 1 usable masks after it
-                for j in usable[: len(usable) - need + 1] if ordered else usable:
-                    if reaches(j + 1 if ordered else 0, avail & ~masks[j], need - 1):
+                # in order, the first pick must leave need - 1 usable steps after it
+                picks = usable[: len(usable) - need + 1] if ordered else usable
+                if checked:
+                    picks = [j for j in picks if own[j] & avail == own[j] and not blocks[j] & avail]
+                for j in picks:
+                    if reaches(j + 1 if ordered else 0, avail & ~kill[j], need - 1):
                         return True
         fails[key] = need
         return False
 
+    return lambda need: reaches(0, free, need)
+
+
+def _longest(reaches, cutoff: int) -> int:
+    """The largest need up to cutoff that reaches accepts, asked in turn."""
     best = 0
-    while best < cutoff and reaches(0, free, best + 1):
+    while best < cutoff and reaches(best + 1):
         best += 1
     return best
 
@@ -619,10 +644,10 @@ def max_expanding_sequence(bg: BipartiteGraph, cutoff: int) -> int:
     This equals the maximum over every left order of the semi-induced
     matching number, truncated at cutoff: ordering the matching by the rank
     of the left endpoints turns the order condition into exactly the
-    sequence condition.  Decided as "is there a sequence of length
-    best + 1?" over any order of the lefts (_longest_sequence).
+    sequence condition.  Decided by the sequence search on one step
+    (0, N(u), N(u)) per left u, taken in any order.
     """
-    return _longest_sequence(bg._left_adj, cutoff, ordered=False)
+    return _longest(_sequence_search([(0, m, m) for m in bg._left_adj], 0, ordered=False), cutoff)
 
 
 def max_expanding_sequence_fixed(bg: BipartiteGraph, order: VertexOrder, cutoff: int) -> int:
@@ -630,15 +655,15 @@ def max_expanding_sequence_fixed(bg: BipartiteGraph, order: VertexOrder, cutoff:
     truncated at cutoff.
 
     Matches max_semi_induced_matching_bruteforce(bg, order)[0] (below the
-    cutoff) but runs the decision search of _longest_sequence on the lefts
-    in rank order instead of enumerating edge subsets.
+    cutoff) without a witness: the search of max_expanding_sequence with
+    the lefts' steps taken in rank order.
     """
     if len(order) != bg.left_count:
         raise InputError(
             f"order ranks {len(order)} vertices, graph has {bg.left_count} lefts"
         )
-    masks = [bg._left_adj[u] for u in order.sequence()]
-    return _longest_sequence(masks, cutoff, ordered=True)
+    steps = [(0, bg._left_adj[u], bg._left_adj[u]) for u in order.sequence()]
+    return _longest(_sequence_search(steps, 0, ordered=True), cutoff)
 
 
 # ---------------------------------------------------------------------------

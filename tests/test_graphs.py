@@ -462,6 +462,21 @@ def test_fixed_expanding_never_exceeds_all_order_maximum():
         assert got <= ceiling
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_order_oracle_answers_30x30_graphs(seed):
+    """128 to 144 edges under a random left order: the conflict-graph
+    search ran past 30 s on each, the anchor-sequence search takes < 0.5 s."""
+    bg = random_bipartite(30, 30, 0.15, seed)
+    perm = list(range(30))
+    random.Random(seed).shuffle(perm)
+    order = VertexOrder.from_sequence(perm)
+    start = time.perf_counter()
+    size, m, _ = max_semi_induced_matching_bruteforce(bg, order)
+    assert time.perf_counter() - start < 10
+    assert size == len(m) == max_expanding_sequence_fixed(bg, order, cutoff=31)
+    assert is_semi_induced_matching(bg, order, m)
+
+
 # ---------------------------------------------------------------------------
 # balanced independence
 

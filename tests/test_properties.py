@@ -6,7 +6,9 @@ shapes: empty, one-sided and complete bipartite graphs and graphs with
 isolated vertices; zero budgets, repeated bundles and budgets over prime
 denominators; clauses of arity 1, duplicated clauses, clauses that no
 pattern satisfies, and no clauses at all.  Every input stays inside its
-claim's domain and under the exhaustive oracles' caps.
+claim's domain and under the exhaustive oracles' caps.  On the same graphs,
+the semi-induced oracle's witness path is tied to the expanding-sequence
+values.
 """
 
 from fractions import Fraction
@@ -16,7 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchprice.csp_fglss import Clause, CspInstance
-from matchprice.graphs import BipartiteGraph
+from matchprice.graphs import (
+    ALL_ORDERS,
+    BipartiteGraph,
+    VertexOrder,
+    is_semi_induced_matching,
+    max_expanding_sequence,
+    max_expanding_sequence_fixed,
+    max_semi_induced_matching_bruteforce,
+)
 from matchprice.pricing import Group, PricingInstance
 from matchprice.reduction import Coloring, build_pricing_instance
 from matchprice.verify import (
@@ -72,6 +82,23 @@ def test_graph_claims_hold(g):
     claims = (balanced_independence_vs_matching, order_relaxation, exact_equals_oracle,
               approx_ratio_guarantee)
     assert counterexamples(claims, g) == {}
+
+
+@PROPERTY
+@given(bipartite_graphs().flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(range(g.left_count)))))
+@example((complete(5, 5), [4, 0, 3, 1, 2]))
+def test_semi_induced_witnesses_match_sequence_values(drawn):
+    """Both oracle modes against the value-only searches, under a drawn
+    left order and over all orders (ten vertices at most, the cap)."""
+    g, perm = drawn
+    order = VertexOrder.from_sequence(perm)
+    size, m, _ = max_semi_induced_matching_bruteforce(g, order)
+    assert len(m) == size == max_expanding_sequence_fixed(g, order, cutoff=g.left_count + 1)
+    assert is_semi_induced_matching(g, order, m)
+    size, m, witness_order = max_semi_induced_matching_bruteforce(g, ALL_ORDERS)
+    assert len(m) == size == max_expanding_sequence(g, cutoff=g.left_count + 1)
+    assert is_semi_induced_matching(g, witness_order, m)
 
 
 BUDGETS = st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 5, 7, 11, 13)))

@@ -458,21 +458,34 @@ def assert_same_all_orders(g):
     assert (size, m.edges, order.ranks) == (ref_size, ref_m.edges, ref_order.ranks), g
 
 
+def disperser_covers(rng, max_n):
+    """The double covers that check_disperser_lemma searches, of random
+    dispersers with sides up to max_n and every degree."""
+    for n in range(1, max_n + 1):
+        for d in range(1, n + 1):
+            disperser = random_disperser(n, d, rng.randrange(10**6))
+            yield bipartite_double_cover(bipartite_to_graph(disperser))
+
+
 def test_all_orders_bipartite_matches_reference():
+    """Every shape of at most ten vertices (the cap), 5+5 and 4+6 among
+    them, and the double covers of the dispersers that fit."""
     rng = random.Random(52)
-    for left in range(1, 6):
-        for right in range(1, 6):
+    for left in range(1, 7):
+        for right in range(1, 11 - left):
             for p in (0.3, 0.5, 0.7):
                 for _ in range(6):
                     assert_same_all_orders(
                         random_bipartite(left, right, p, seed=rng.randrange(10**6))
                     )
+    for cover in disperser_covers(rng, 2):
+        assert_same_all_orders(cover)
 
 
 def test_all_orders_general_matches_reference():
     rng = random.Random(53)
-    for n in range(2, 8):
-        for p in (0.3, 0.5, 0.7):
+    for n in range(2, 11):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             for _ in range(12):
                 assert_same_all_orders(random_graph(n, p, seed=rng.randrange(10**6)))
 
@@ -684,8 +697,10 @@ def random_pairs(rng, g, sides):
 def assert_same_rules(rng, g, verdicts):
     if isinstance(g, BipartiteGraph):
         sides, ranked = (g.left_count, g.right_count), g.left_count
+        vertices = g.left_count + g.right_count
     else:
         sides, ranked = (g.vertex_count, g.vertex_count), g.vertex_count
+        vertices = g.vertex_count
     for _ in range(12):
         m = random_pairs(rng, g, sides)
         expected = rule_outcome(ref_is_induced_matching, g, m)
@@ -699,6 +714,8 @@ def assert_same_rules(rng, g, verdicts):
     assert max_induced_matching_bruteforce(g) == ref_induced_oracle(g), g.to_json()
     order = random_order(rng, ranked)
     assert max_semi_induced_matching_bruteforce(g, order) == ref_semi_oracle(g, order), g.to_json()
+    if vertices > caps.MAX_ALL_ORDER_VERTICES:  # the larger disperser covers
+        return
     size, m, witness_order = max_semi_induced_matching_bruteforce(g, ALL_ORDERS)
     assert ref_is_semi_induced_matching(g, witness_order, m)
     assert ref_semi_oracle(g, witness_order)[0] == size >= ref_semi_oracle(g, order)[0]
@@ -707,8 +724,8 @@ def assert_same_rules(rng, g, verdicts):
 def test_matching_rules_match_per_kind_branches():
     rng = random.Random(54)
     verdicts = set()
-    for n in range(2, 9):
-        for p in (0.3, 0.5, 0.7):
+    for n in range(2, 11):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             for _ in range(4):
                 assert_same_rules(rng, random_graph(n, p, seed=rng.randrange(10**6)), verdicts)
     for left in range(1, 6):
@@ -716,6 +733,8 @@ def test_matching_rules_match_per_kind_branches():
             for p in (0.3, 0.5, 0.7):
                 assert_same_rules(rng, random_bipartite(left, right, p, seed=rng.randrange(10**6)),
                                   verdicts)
+    for cover in disperser_covers(rng, 5):
+        assert_same_rules(rng, cover, verdicts)
     # valid and invalid pair lists, out-of-range pairs and misshapen orders
     assert verdicts == {True, False, "matching", "order"}
 

@@ -4,10 +4,11 @@ Only caps.py constructs CapExceeded, every caps.require call names a
 declared cap as a string literal, no assert statement remains, only
 errors.Record, Graph and BipartiteGraph define __eq__ or __hash__, no
 except clause names KeyError, the public functions of ratlp are exactly
-maximize and maximize_subsets, verify builds random.Random in one
-place, its driver, and `__init__.py` holds only relative `from .x import`
-statements, the `__version__` assignment and an `__all__` computed from
-the names they bind.
+maximize and maximize_subsets, one search serves semi-induced matchings
+and the independent-set engine has three callers, verify builds
+random.Random in one place, its driver, and `__init__.py` holds only
+relative `from .x import` statements, the `__version__` assignment and an
+`__all__` computed from the names they bind.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library.  For imports, `__init__.py` is
@@ -237,6 +238,43 @@ def test_ratlp_is_one_engine():
     """maximize_subsets is the engine; maximize checks and scales one program
     for it.  No other entry point, such as a one-program int kernel."""
     assert public_functions((PACKAGE / "ratlp.py").read_text()) == ["maximize", "maximize_subsets"]
+
+
+def callers(sources: dict[str, str], name: str) -> list[str]:
+    """The top-level statements that call name, by name or as an attribute,
+    nested calls included, as "module: top", where top is the function's or
+    class's name or "module level"."""
+    return sorted(
+        f"{module}: {getattr(top, 'name', 'module level')}"
+        for module, source in sources.items()
+        for top in ast.parse(source).body
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+               for node in ast.walk(top))
+    )
+
+
+def test_caller_checker_sees_nested_attribute_and_module_level_calls():
+    sources = {
+        "a.py": "def f():\n    def g():\n        return e(1)\n    return g\n"
+                "def h():\n    return e\nclass K:\n    def m(self):\n        return mod.e()\n",
+        "b.py": "x = e()\ndef e():\n    return 0\n",
+    }
+    assert callers(sources, "e") == ["a.py: K", "a.py: f", "b.py: module level"]
+
+
+def test_semi_induced_matching_has_one_search():
+    """The sequence search is the one semi-induced engine: the oracle's two
+    modes reach it through _anchor_search, the expanding-sequence values
+    directly.  The independent-set engine serves only its three problems."""
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert callers(sources, "_anchor_search") == ["graphs.py: max_semi_induced_matching_bruteforce"]
+    assert callers(sources, "_sequence_search") == [
+        "graphs.py: _anchor_search", "graphs.py: max_expanding_sequence",
+        "graphs.py: max_expanding_sequence_fixed"]
+    assert callers(sources, "_mis_lex_witness") == [
+        "graphs.py: max_independent_set_bruteforce", "graphs.py: max_induced_matching_bruteforce",
+        "matching_solvers.py: block_optima_general"]
 
 
 def random_constructions(source: str) -> list[str]:
